@@ -13,13 +13,13 @@ from typing import List, Optional
 from . import __version__
 from .climax import climax_profile
 from .config import AnalysisConfig, load_config
-from .errors import AnalysisError, ArcformError, GrammarError, ScoreFormatError
+from .errors import (AnalysisError, ArcformError, GrammarError,
+                     NotesParseError, ScoreFormatError)
 from .grammar import (flatten, generate, parse_form, predicted_climax_position,
                       recognize)
 from .recurrence import find_recurrences
 from .report import build_report, curve_csv, render_json
 from .score import Piece, import_midi, parse_text, skyline
-from .errors import NotesParseError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -95,8 +95,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "seed": flatten(seed),
             "minimal_steps": steps if steps is not None else "not derivable",
         }
-        if steps is not None and steps >= 0:
-            total = piece.beats_total
+        if steps is not None:
             n_copies = steps + 1
             form["predicted_climax_position"] = float(
                 predicted_climax_position(n_copies, (Fraction(1), Fraction(1))))

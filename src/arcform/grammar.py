@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, FrozenSet, Iterator, Optional, Tuple, Union
 
 from .errors import GrammarError
@@ -241,18 +240,14 @@ def recognize(form: str, seed: FormTree,
         raise GrammarError(f"form must be uppercase letters, got {form!r}")
     base = flatten(seed)
     head = flatten(seed.children[0]) if isinstance(seed, Node) else None
-
-    @lru_cache(maxsize=None)
-    def steps_from(s: str) -> Optional[int]:
-        if s == base:
-            return 0
-        if head is None or not s.startswith(head):
+    count = 0
+    rest = form
+    while rest != base:
+        if head is None or not rest.startswith(head):
             return None
-        rest = steps_from(s[len(head):])
-        return None if rest is None else rest + 1
-
-    count = steps_from(form)
-    if count is not None and count > max_steps:
+        rest = rest[len(head):]
+        count += 1
+    if count > max_steps:
         raise GrammarError(
             f"derivation needs {count} steps, over the {max_steps}-step bound")
     return count

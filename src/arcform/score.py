@@ -243,14 +243,15 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Tuple[NoteEvent, .
             pos += 1
         elif status == 0:
             raise MidiError("data byte without running status")
-        if status == 0xFF:
-            if pos >= len(chunk):
-                raise MidiError("truncated meta event")
-            pos += 1  # meta type
+        if status in (0xFF, 0xF0, 0xF7):
+            if status == 0xFF:
+                if pos >= len(chunk):
+                    raise MidiError("truncated meta event")
+                pos += 1  # meta type
             length, pos = _read_varlen(chunk, pos)
-            pos += length
-        elif status in (0xF0, 0xF7):
-            length, pos = _read_varlen(chunk, pos)
+            if pos + length > len(chunk):
+                raise MidiError("meta or sysex event runs past the end of "
+                                "its track")
             pos += length
         else:
             kind = status & 0xF0
@@ -259,6 +260,8 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Tuple[NoteEvent, .
             if pos + ndata > len(chunk):
                 raise MidiError("truncated channel event")
             data = chunk[pos:pos + ndata]
+            if max(data) & 0x80:
+                raise MidiError("channel event data byte has the high bit set")
             pos += ndata
             if kind == 0x90 and data[1] > 0:
                 open_notes.setdefault((channel, data[0]), []).append(

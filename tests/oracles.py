@@ -2,7 +2,8 @@
 
 Deliberately written with different algorithms than the implementations
 they verify: plain recursion instead of the rolling-array DP, string
-rewriting instead of tree rewriting, and a from-scratch MIDI byte writer.
+rewriting instead of tree rewriting, a per-window sum over every event
+instead of prefix integrals, and a from-scratch MIDI byte writer.
 """
 
 from __future__ import annotations
@@ -59,6 +60,59 @@ def right_language(seed: str, depth: int) -> Set[str]:
         seen |= frontier
     return seen
 
+
+def oracle_salience_curve(piece, weights, window):
+    """Salience by the direct definition: every window sums every event.
+
+    Costs O(grid points x events) exact operations; the library's sweep
+    must return the identical tuple.
+    """
+    window = Fraction(window)
+    events = piece.all_events()
+    total = piece.beats_total
+    step = window / 2
+    n_steps = max(1, -(-total // step))  # ceil
+    times = [total * k / n_steps for k in range(int(n_steps) + 1)]
+
+    pmin = min(e.pitch for e in events)
+    pmax = max(e.pitch for e in events)
+    half = window / 2
+
+    pitch_comp: list = []
+    vel_comp: list = []
+    counts: list = []
+    for t in times:
+        lo = max(Fraction(0), t - half)
+        hi = min(total, t + half)
+        pitch_mass = Fraction(0)
+        vel_mass = Fraction(0)
+        overlap_total = Fraction(0)
+        count = 0
+        for e in events:
+            overlap = min(e.end, hi) - max(e.onset, lo)
+            if overlap > 0:
+                pitch_mass += e.pitch * overlap
+                vel_mass += e.velocity * overlap
+                overlap_total += overlap
+            if lo <= e.onset < hi:
+                count += 1
+        if overlap_total > 0:
+            mean_pitch = pitch_mass / overlap_total
+            if pmax > pmin:
+                pitch_comp.append(float((mean_pitch - pmin) / (pmax - pmin)))
+            else:
+                pitch_comp.append(0.5)
+            vel_comp.append(float(vel_mass / overlap_total) / 127.0)
+        else:
+            pitch_comp.append(0.0)
+            vel_comp.append(0.0)
+        counts.append(count)
+
+    max_count = max(counts) if max(counts) > 0 else 1
+    w_pitch, w_density, w_velocity = weights
+    return tuple(
+        (t, w_pitch * pc + w_density * (c / max_count) + w_velocity * vc)
+        for t, pc, vc, c in zip(times, pitch_comp, vel_comp, counts))
 
 # --- minimal Standard MIDI File writer -------------------------------------
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from arcform.config import AnalysisConfig
+from oracles import midi_file
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,6 +42,15 @@ def test_analyze_with_form(fixtures_dir):
     assert res.returncode == 0
     report = json.loads(res.stdout)
     assert report["form"]["minimal_steps"] == 1
+
+
+def test_analyze_form_over_step_bound_exit_2(fixtures_dir):
+    res = run_cli("analyze", fixtures_dir / "fixture_fig1.notes",
+                  "--form", "A" * 3000 + "B", "--seed", "AB")
+    assert res.returncode == 2
+    assert "over the 32-step bound" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 def test_analyze_deterministic_bytes(fixtures_dir):
@@ -176,6 +186,18 @@ def test_corpus_skips_corrupt_with_warning(fixtures_dir):
     lines = res.stdout.splitlines()
     assert len(lines) == 1 + 3 + 1  # header + valid rows + summary
     assert res.stderr.count("warning: skipped") == 1
+
+
+def test_corpus_skips_high_bit_midi(fixtures_dir, tmp_path):
+    for path in (fixtures_dir / "corpus").iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "high_bit.mid").write_bytes(
+        midi_file([[(0, [0x90, 60, 200]), (480, [0x80, 60, 0])]]))
+    res = run_cli("corpus", tmp_path)
+    assert res.returncode == 0
+    assert len(res.stdout.splitlines()) == 1 + 3 + 1
+    assert "warning: skipped high_bit.mid: channel event data byte" \
+        in res.stderr
 
 
 def test_corpus_empty_directory_exit_2(tmp_path):

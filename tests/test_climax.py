@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from arcform import AnalysisError, NoteEvent, Part, Piece, parse_text
 from arcform.climax import climax_profile, locate_climax, salience_curve
+from oracles import oracle_salience_curve
 
 
 def mono_piece(pitches, dur=1, velocity=64):
@@ -73,6 +75,49 @@ def test_bad_weights_rejected():
         salience_curve(mono_piece([60, 62]), weights=(0.5, 0.5, 0.5))
     with pytest.raises(AnalysisError, match="weights"):
         salience_curve(mono_piece([60, 62]), weights=(1.2, -0.1, -0.1))
+
+
+
+denominators = st.sampled_from([1, 2, 3, 4, 6, 8])
+rationals = st.builds(Fraction, st.integers(0, 48), denominators)
+durations = st.builds(Fraction, st.integers(1, 24), denominators)
+
+
+@st.composite
+def multi_voice_pieces(draw):
+    """1-6 overlapping voices with rational onsets and durations; the
+    whole piece may start late, and pitches may all be equal."""
+    start = draw(st.sampled_from([Fraction(0), Fraction(0), Fraction(5, 3),
+                                  Fraction(12)]))
+    pitches = draw(st.sampled_from([st.integers(0, 127), st.just(60),
+                                    st.integers(58, 62)]))
+    parts = []
+    for voice in range(draw(st.integers(1, 6))):
+        events = draw(st.lists(
+            st.builds(lambda on, du, p, v: NoteEvent(start + on, du, p, v, voice),
+                      rationals, durations, pitches, st.integers(1, 127)),
+            min_size=1, max_size=10))
+        parts.append(Part(voice, tuple(events)))
+    return Piece(parts=tuple(parts))
+
+
+weights_choices = st.sampled_from([(0.4, 0.3, 0.3), (1.0, 0.0, 0.0),
+                                   (0.0, 0.0, 1.0), (0.2, 0.5, 0.3)])
+windows = st.one_of(st.builds(Fraction, st.integers(1, 40), denominators),
+                    st.just(Fraction(500)))  # wider than any drawn piece
+
+
+@settings(max_examples=300, deadline=None)
+@given(multi_voice_pieces(), weights_choices, windows)
+@example(mono_piece([60]), (0.4, 0.3, 0.3), Fraction(4))  # single note
+@example(mono_piece([60, 72, 48]), (0.4, 0.3, 0.3), Fraction(50))  # wide
+@example(mono_piece([64, 64, 64]), (0.4, 0.3, 0.3), Fraction(3, 2))  # pmin == pmax
+@example(Piece(parts=(Part(0, (NoteEvent(Fraction(9), Fraction(1, 3), 0, 1),
+                               NoteEvent(Fraction(10), Fraction(2), 127))),)),
+         (0.4, 0.3, 0.3), Fraction(2))  # gap before the first onset
+def test_salience_curve_matches_direct_definition(piece, weights, window):
+    assert salience_curve(piece, weights, window) == \
+        oracle_salience_curve(piece, weights, window)
 
 
 # --- locate_climax ------------------------------------------------------------

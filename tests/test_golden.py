@@ -1,0 +1,126 @@
+"""Byte-exact golden outputs for `arcform analyze` and `arcform climax --csv`.
+
+Every well-formed `.notes` fixture and three seeded synthetic pieces are
+run through the CLI entry point; each output must equal its file under
+`tests/golden/` byte for byte. After an intended change of output,
+re-record the files with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+from typing import Dict, List, Tuple
+
+import pytest
+
+from arcform import NoteEvent, Part, Piece, serialize_text
+from arcform.cli import main
+
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE / "fixtures"
+GOLDEN = HERE / "golden"
+
+# a parse failure by design: it has no output to pin
+MALFORMED = {"corpus_bad/corrupt.notes"}
+
+# (seed, voices, notes per voice, first onset)
+SYNTHETIC = ((11, 3, 24, Fraction(0)),
+             (12, 5, 30, Fraction(7, 3)),
+             (13, 8, 20, Fraction(1, 2)))
+SYNTHETIC_WINDOW = "3/2"
+
+
+def synthetic_piece(seed: int, voices: int, per_voice: int,
+                    first: Fraction) -> Piece:
+    """Overlapping voices with rational onsets and durations."""
+    rng = random.Random(seed)
+    parts = []
+    for voice in range(voices):
+        onset = first + Fraction(rng.randint(0, 6), rng.choice([2, 3, 4]))
+        events = []
+        for _ in range(per_voice):
+            duration = Fraction(rng.randint(1, 6), rng.choice([1, 2, 3, 4]))
+            events.append(NoteEvent(onset, duration,
+                                    rng.randint(36 + 4 * voice, 60 + 5 * voice),
+                                    rng.randint(20, 127), voice))
+            onset += duration + Fraction(rng.randint(-2, 3),
+                                         rng.choice([2, 4, 6]))
+            onset = max(first, onset)
+        parts.append(Part(voice, tuple(events)))
+    return Piece(parts=tuple(parts), title=f"synthetic {seed}")
+
+
+def _cases() -> List[Tuple[str, str, List[str]]]:
+    """(golden file name, input file, CLI args before --out)."""
+    cases = []
+    for path in sorted(FIXTURES.rglob("*.notes")):
+        rel = path.relative_to(FIXTURES).as_posix()
+        if rel in MALFORMED:
+            continue
+        stem = rel[:-len(".notes")].replace("/", "__")
+        cases.append((f"{stem}.analyze.json", rel, ["analyze", rel]))
+        cases.append((f"{stem}.climax.csv", rel, ["climax", rel, "--csv"]))
+    for seed, *_ in SYNTHETIC:
+        name = f"synthetic_{seed}.notes"
+        window = ["--window", SYNTHETIC_WINDOW]
+        cases.append((f"synthetic_{seed}.analyze.json", name,
+                      ["analyze", name, *window]))
+        cases.append((f"synthetic_{seed}.climax.csv", name,
+                      ["climax", name, "--csv", *window]))
+    return cases
+
+
+def render_all(workdir: Path) -> Dict[str, bytes]:
+    """Run every golden case in-process; map golden file name to bytes.
+
+    Inputs are named relative to the working directory, so the `source`
+    field of a report does not depend on where the checkout lives.
+    """
+    for seed, voices, per_voice, first in SYNTHETIC:
+        (workdir / f"synthetic_{seed}.notes").write_text(
+            serialize_text(synthetic_piece(seed, voices, per_voice, first)),
+            encoding="utf-8")
+    outputs = {}
+    cwd = os.getcwd()
+    try:
+        for stem, source, args in _cases():
+            out = workdir / f"out-{stem}"
+            os.chdir(workdir if source.startswith("synthetic_") else FIXTURES)
+            code = main([*args, "--out", str(out)])
+            if code != 0:
+                raise RuntimeError(f"{stem}: exit {code}")
+            outputs[stem] = out.read_bytes()
+    finally:
+        os.chdir(cwd)
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def rendered(tmp_path_factory) -> Dict[str, bytes]:
+    return render_all(tmp_path_factory.mktemp("golden"))
+
+
+def test_golden_set_is_complete(rendered):
+    assert sorted(rendered) == sorted(p.name for p in GOLDEN.iterdir())
+
+
+@pytest.mark.parametrize("stem", [stem for stem, _, _ in _cases()])
+def test_output_matches_golden_bytes(rendered, stem):
+    assert rendered[stem] == (GOLDEN / stem).read_bytes()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem, data in render_all(Path(tmp)).items():
+            (GOLDEN / stem).write_bytes(data)
+            print(f"recorded {stem} ({len(data)} bytes)")

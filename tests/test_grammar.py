@@ -157,6 +157,12 @@ def test_recognize_step_bound():
     assert recognize("A" * 33 + "B", AB, max_steps=64) == 32
 
 
+def test_recognize_long_form_hits_bound_without_recursion():
+    with pytest.raises(GrammarError, match="needs 2999 steps, over the 32"):
+        recognize("A" * 3000 + "B", AB)
+    assert recognize("A" * 3000 + "C", AB) is None
+
+
 @given(st.integers(0, 6))
 def test_every_derivable_string_ends_like_the_seed(k):
     # left-replication never touches the final leaf

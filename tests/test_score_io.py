@@ -162,6 +162,28 @@ def test_midi_truncated_chunk():
         import_midi(data[:-5])
 
 
+@pytest.mark.parametrize("events", [
+    [(0, [0x90, 60, 200]), (480, [0x80, 60, 0])],   # velocity byte
+    [(0, [0x90, 0xBC, 70]), (480, [0x80, 60, 0])],  # pitch byte
+    [(0, [0x90, 60, 70]), (480, [0x80, 0xBC, 0])],  # note-off pitch byte
+    [(0, [0xC0, 0x85])],                            # program change
+])
+def test_midi_high_bit_data_byte_rejected(events):
+    with pytest.raises(MidiError, match="high bit"):
+        import_midi(midi_file([events]))
+
+
+@pytest.mark.parametrize("message", [
+    [0xFF, 0x01, 0x7F, 0x41, 0x42],  # text meta claims 127 bytes
+    [0xF0, 0x40, 0x01, 0xF7],        # sysex claims 64 bytes
+])
+def test_midi_event_length_past_track_end_rejected(message):
+    data = midi_file([[(0, [0x90, 60, 70]), (480, [0x80, 60, 0]),
+                       (0, message)]])
+    with pytest.raises(MidiError, match="past the end"):
+        import_midi(data)
+
+
 def test_midi_smpte_division_rejected():
     import struct
     data = struct.pack(">4sIHHH", b"MThd", 6, 0, 0, 0xE250)
