@@ -1,8 +1,12 @@
-"""Byte-exact golden outputs for `arcform analyze` and `arcform climax --csv`.
+"""Byte-exact golden outputs for `arcform analyze`, `climax --csv` and `recur`.
 
 Every well-formed `.notes` fixture and three seeded synthetic pieces are
 run through the CLI entry point; each output must equal its file under
-`tests/golden/` byte for byte. After an intended change of output,
+`tests/golden/` byte for byte. `recur` runs the two chorale fixtures
+against `chorale_query.notes`, and each synthetic piece against a slice
+of one of its own voices at three thresholds; at the lowest, many
+overlapping windows pass and the overlap resolution picks among them. After an intended change of
+output,
 re-record the files with
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -35,6 +39,11 @@ SYNTHETIC = ((11, 3, 24, Fraction(0)),
              (12, 5, 30, Fraction(7, 3)),
              (13, 8, 20, Fraction(1, 2)))
 SYNTHETIC_WINDOW = "3/2"
+# recurrence goldens: fixtures searched for the chorale query, and the
+# thresholds each synthetic piece is searched at for a slice of itself
+RECUR_FIXTURES = ("fixture_fig1.notes", "passion_chorales.notes")
+RECUR_QUERY = "chorale_query.notes"
+RECUR_THRESHOLDS = ("0.6", "0.3", "0.1")
 
 
 def synthetic_piece(seed: int, voices: int, per_voice: int,
@@ -57,6 +66,11 @@ def synthetic_piece(seed: int, voices: int, per_voice: int,
     return Piece(parts=tuple(parts), title=f"synthetic {seed}")
 
 
+def synthetic_query(piece: Piece) -> Piece:
+    """Ten consecutive notes of the piece's second voice, as a query."""
+    return Piece(parts=(Part(1, piece.parts[1].events[4:14]),))
+
+
 def _cases() -> List[Tuple[str, str, List[str]]]:
     """(golden file name, input file, CLI args before --out)."""
     cases = []
@@ -67,6 +81,9 @@ def _cases() -> List[Tuple[str, str, List[str]]]:
         stem = rel[:-len(".notes")].replace("/", "__")
         cases.append((f"{stem}.analyze.json", rel, ["analyze", rel]))
         cases.append((f"{stem}.climax.csv", rel, ["climax", rel, "--csv"]))
+        if rel in RECUR_FIXTURES:
+            cases.append((f"{stem}.recur.json", rel,
+                          ["recur", rel, "--query", RECUR_QUERY]))
     for seed, *_ in SYNTHETIC:
         name = f"synthetic_{seed}.notes"
         window = ["--window", SYNTHETIC_WINDOW]
@@ -74,6 +91,11 @@ def _cases() -> List[Tuple[str, str, List[str]]]:
                       ["analyze", name, *window]))
         cases.append((f"synthetic_{seed}.climax.csv", name,
                       ["climax", name, "--csv", *window]))
+        for threshold in RECUR_THRESHOLDS:
+            cases.append((f"synthetic_{seed}.recur-{threshold}.json", name,
+                          ["recur", name, "--query",
+                           f"synthetic_{seed}.query.notes",
+                           "--threshold", threshold]))
     return cases
 
 
@@ -84,9 +106,11 @@ def render_all(workdir: Path) -> Dict[str, bytes]:
     field of a report does not depend on where the checkout lives.
     """
     for seed, voices, per_voice, first in SYNTHETIC:
+        piece = synthetic_piece(seed, voices, per_voice, first)
         (workdir / f"synthetic_{seed}.notes").write_text(
-            serialize_text(synthetic_piece(seed, voices, per_voice, first)),
-            encoding="utf-8")
+            serialize_text(piece), encoding="utf-8")
+        (workdir / f"synthetic_{seed}.query.notes").write_text(
+            serialize_text(synthetic_query(piece)), encoding="utf-8")
     outputs = {}
     cwd = os.getcwd()
     try:
