@@ -12,9 +12,8 @@ from typing import List, Optional
 
 from . import __version__
 from .climax import climax_profile
-from .config import AnalysisConfig, load_config
-from .errors import (AnalysisError, ArcformError, GrammarError,
-                     NotesParseError, ScoreFormatError)
+from .config import AnalysisConfig, load_config, parse_setting
+from .errors import AnalysisError, ArcformError, ScoreFormatError
 from .grammar import (flatten, generate, parse_form, predicted_climax_position,
                       recognize)
 from .recurrence import find_recurrences
@@ -30,7 +29,11 @@ def load_piece(path: str) -> Piece:
     p = Path(path)
     suffix = p.suffix.lower()
     if suffix == ".notes":
-        return parse_text(p.read_text(encoding="utf-8"))
+        try:
+            text = p.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ScoreFormatError(f"{path}: not UTF-8 text") from exc
+        return parse_text(text)
     if suffix in (".mid", ".midi"):
         return import_midi(p.read_bytes())
     raise ScoreFormatError(f"unknown input extension {suffix!r} for {path}")
@@ -45,7 +48,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
                         help="salience weights pitch,density,velocity")
     parser.add_argument("--window", metavar="BEATS",
                         help="salience window width in beats")
-    parser.add_argument("--threshold", type=float, metavar="X",
+    parser.add_argument("--threshold", metavar="X",
                         help="recurrence similarity threshold")
     parser.add_argument("--json", action="store_true",
                         help="force JSON output")
@@ -56,16 +59,18 @@ def _effective_config(args: argparse.Namespace) -> AnalysisConfig:
     if getattr(args, "config", None):
         config = load_config(args.config, config)
     if getattr(args, "weights", None):
-        parts = args.weights.split(",")
-        if len(parts) != 3:
+        values = args.weights.split(",")
+        if len(values) != 3:
             raise ArcformError("--weights needs three comma-separated values")
-        config = replace(config, w_pitch=float(parts[0]),
-                         w_density=float(parts[1]),
-                         w_velocity=float(parts[2]))
+        keys = ("w_pitch", "w_density", "w_velocity")
+        config = replace(config, **{key: parse_setting(key, value, "--weights")
+                                    for key, value in zip(keys, values)})
     if getattr(args, "window", None):
-        config = replace(config, window=Fraction(args.window))
+        config = replace(config, window=parse_setting("window", args.window,
+                                                      "--window"))
     if getattr(args, "threshold", None) is not None:
-        config = replace(config, threshold=args.threshold)
+        config = replace(config, threshold=parse_setting(
+            "threshold", args.threshold, "--threshold"))
     return config
 
 
@@ -253,14 +258,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScoreFormatError, GrammarError, NotesParseError, OSError,
-            ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except ArcformError as exc:
+    except (ArcformError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

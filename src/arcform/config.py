@@ -8,7 +8,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import ArcformError
 
-__all__ = ["AnalysisConfig", "load_config"]
+__all__ = ["AnalysisConfig", "load_config", "parse_setting"]
 
 
 @dataclass(frozen=True)
@@ -57,25 +57,38 @@ _FLOAT_KEYS = {"w_pitch", "w_density", "w_velocity",
                "sim_pitch", "sim_rhythm", "threshold"}
 
 
+def parse_setting(key: str, value: str, where: str) -> object:
+    """Parse one setting from text, for a config file line or a flag.
+
+    Raises ArcformError naming `where` (e.g. "a.cfg:3" or "--window")
+    for an unknown key or a value that does not parse.
+    """
+    try:
+        if key == "window":
+            return Fraction(value)
+        if key in _FLOAT_KEYS:
+            return float(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ArcformError(f"{where}: bad value for {key}") from exc
+    raise ArcformError(f"{where}: unknown key {key!r}")
+
+
 def load_config(path: str, base: Optional[AnalysisConfig] = None) -> AnalysisConfig:
     """Read a key=value config file on top of the defaults."""
     config = base or AnalysisConfig()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ArcformError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            try:
-                if key == "window":
-                    config = replace(config, window=Fraction(value))
-                elif key in _FLOAT_KEYS:
-                    config = replace(config, **{key: float(value)})
-                else:
-                    raise ArcformError(f"{path}:{lineno}: unknown key {key!r}")
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ArcformError(f"{path}:{lineno}: bad value for {key}") from exc
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ArcformError(f"{path}: not UTF-8 text") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ArcformError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        config = replace(config, **{key: parse_setting(key, value,
+                                                       f"{path}:{lineno}")})
     return config

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .errors import AnalysisError
 from .score import Part, Piece, skyline
@@ -83,19 +83,44 @@ def interval_profile(melody: Part) -> IntervalProfile:
     return IntervalProfile(steps, ratios)
 
 
-def _edit_distance(a: Sequence, b: Sequence) -> int:
-    """Unit-cost Levenshtein distance."""
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        cur = [i]
-        for j, y in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1,
-                           cur[j - 1] + 1,
-                           prev[j - 1] + (x != y)))
-        prev = cur
-    return prev[-1]
+def _pattern_masks(pattern: Sequence[Hashable]) -> Dict[Hashable, int]:
+    """Bit i of masks[c] is set where pattern[i] == c."""
+    masks: Dict[Hashable, int] = {}
+    for i, sym in enumerate(pattern):
+        masks[sym] = masks.get(sym, 0) | 1 << i
+    return masks
+
+
+def _prefix_distances(pattern_len: int, masks: Dict[Hashable, int],
+                      text: Sequence[Hashable]) -> List[int]:
+    """Unit-cost Levenshtein distance of the pattern to every text prefix.
+
+    Entry k is the distance to text[:k]. Myers' (1999) bit-vector
+    recurrence in Hyyrö's global-distance form: the vertical deltas of one
+    DP column are two bit-vectors, and each text symbol advances the column
+    in a few word operations. Python ints are unbounded, so any pattern
+    length works; bits above the pattern never reach the bits below it.
+    """
+    if not pattern_len:
+        return list(range(len(text) + 1))
+    dist = pattern_len
+    out = [dist]
+    top = 1 << (pattern_len - 1)
+    vp, vn = -1, 0
+    for sym in text:
+        x = masks.get(sym, 0)
+        d0 = (((x & vp) + vp) ^ vp) | x | vn
+        hp = vn | ~(d0 | vp)
+        hn = d0 & vp
+        if hp & top:
+            dist += 1
+        elif hn & top:
+            dist -= 1
+        hp = hp << 1 | 1
+        vp = hn << 1 | ~(d0 | hp)
+        vn = hp & d0
+        out.append(dist)
+    return out
 
 
 def _check_weights(weights: Tuple[float, float]) -> None:
@@ -104,19 +129,28 @@ def _check_weights(weights: Tuple[float, float]) -> None:
         raise AnalysisError("weights must be nonnegative and sum to 1")
 
 
+def _score(d_steps: int, d_ratios: int, denom: int,
+           w_pitch: Fraction, w_rhythm: Fraction) -> float:
+    """1 minus the weighted distance over denom, clamped to [0, 1].
+
+    Exact rational arithmetic, so the score is reproducible bit-for-bit.
+    """
+    score = 1 - (w_pitch * Fraction(d_steps, denom)
+                 + w_rhythm * Fraction(d_ratios, denom))
+    return float(min(Fraction(1), max(Fraction(0), score)))
+
+
 def similarity(a: IntervalProfile, b: IntervalProfile,
                weights: Tuple[float, float] = DEFAULT_SIMILARITY_WEIGHTS) -> float:
     """1 minus the weighted normalized edit distance of the two profiles."""
     _check_weights(weights)
     if len(a) == 0 and len(b) == 0:
         return 1.0
-    # exact rational arithmetic so the score is reproducible bit-for-bit
-    denom = max(len(a), len(b))
-    d_steps = Fraction(_edit_distance(a.steps, b.steps), denom)
-    d_ratios = Fraction(_edit_distance(a.ratios, b.ratios), denom)
-    w_pitch, w_rhythm = (Fraction(w) for w in weights)
-    score = 1 - (w_pitch * d_steps + w_rhythm * d_ratios)
-    return float(min(Fraction(1), max(Fraction(0), score)))
+    d_steps = _prefix_distances(len(a), _pattern_masks(a.steps), b.steps)[-1]
+    d_ratios = _prefix_distances(len(a), _pattern_masks(a.ratios),
+                                 b.ratios)[-1]
+    return _score(d_steps, d_ratios, max(len(a), len(b)),
+                  *map(Fraction, weights))
 
 
 def find_recurrences(piece: Piece, query: Part,
@@ -128,6 +162,12 @@ def find_recurrences(piece: Piece, query: Part,
     Slides windows of 0.5x to 1.5x the query note count over the skyline of
     each part; candidates at or above the similarity threshold are resolved
     greedily by descending similarity.
+
+    The window of `length` notes from note `start` has the interval profile
+    of the skyline sliced to [start, start + length - 1). One bit-vector
+    edit-distance pass from each start scores every window length at once,
+    so a part of n skyline notes costs O(n * ceil(1.5 q)) word operations
+    for a q-note query.
     """
     if len(query.events) < 2:
         raise AnalysisError("query shorter than 2 notes")
@@ -139,20 +179,39 @@ def find_recurrences(piece: Piece, query: Part,
     lo = max(2, n // 2)
     hi = -(-3 * n // 2)  # ceil(1.5 n)
 
+    qlen = len(qprof)
+    step_masks = _pattern_masks(qprof.steps)
+    # ratios are interned to small ints so the passes hash no Fractions
+    ratio_ids: Dict[Fraction, int] = {}
+    ratio_masks = _pattern_masks(
+        [ratio_ids.setdefault(r, len(ratio_ids)) for r in qprof.ratios])
+    exact_weights = tuple(map(Fraction, weights))
+    scores: Dict[Tuple[int, int, int], float] = {}
+
     candidates = []
     for part in piece.parts:
         if not part.events:
             continue
         line = skyline(Piece(parts=(part,)))
         notes = line.events
-        for length in range(lo, min(hi, len(notes)) + 1):
-            for start in range(len(notes) - length + 1):
-                window = notes[start:start + length]
-                prof = interval_profile(Part(voice=part.voice, events=window))
-                sim = similarity(qprof, prof, weights)
+        prof = interval_profile(line)
+        ratios = [ratio_ids.setdefault(r, len(ratio_ids))
+                  for r in prof.ratios]
+        for start in range(len(notes) - lo + 1):
+            stop = start + min(hi, len(notes) - start) - 1
+            d_steps = _prefix_distances(qlen, step_masks,
+                                        prof.steps[start:stop])
+            d_ratios = _prefix_distances(qlen, ratio_masks,
+                                         ratios[start:stop])
+            for length in range(lo, stop - start + 2):
+                key = (d_steps[length - 1], d_ratios[length - 1],
+                       max(qlen, length - 1))
+                sim = scores.get(key)
+                if sim is None:
+                    sim = scores[key] = _score(*key, *exact_weights)
                 if sim >= threshold:
-                    candidates.append(
-                        (sim, part.voice, window[0].onset, window[-1].end))
+                    candidates.append((sim, part.voice, notes[start].onset,
+                                       notes[start + length - 1].end))
 
     candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
     chosen: list[Tuple[float, int, Fraction, Fraction]] = []

@@ -6,10 +6,12 @@ comparisons downstream never suffer float drift.
 
 from __future__ import annotations
 
+import heapq
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Tuple
 
 from .errors import AnalysisError, MidiError, NotesParseError
 
@@ -112,10 +114,11 @@ class Piece:
             if not 0 <= tonic <= 11 or mode not in _MODES:
                 raise ValueError(f"bad key {self.key!r}")
 
-    @property
+    @cached_property
     def beats_total(self) -> Fraction:
-        ends = [e.end for p in self.parts for e in p.events]
-        return max(ends) if ends else Fraction(0)
+        """Latest event end; computed once per piece."""
+        return max((e.onset + e.duration for p in self.parts for e in p.events),
+                   default=Fraction(0))
 
     def all_events(self) -> Tuple[NoteEvent, ...]:
         return tuple(e for p in self.parts for e in p.events)
@@ -315,23 +318,36 @@ def import_midi(data: bytes) -> Piece:
 def skyline(piece: Piece) -> Part:
     """Monophonic top line: highest sounding pitch wins at every moment.
 
-    Tie at equal pitch goes to the earlier-starting event (then lower voice).
+    Tie at equal pitch goes to the earlier-starting event (then lower voice,
+    then the first in `all_events()` order). One sweep over the sorted
+    boundaries keeps the sounding events in a max-heap and drops those that
+    have ended only when they reach its top: O(n log n) for n events.
     """
     events = piece.all_events()
     if not events:
         raise AnalysisError("empty piece")
-    boundaries = sorted({e.onset for e in events} | {e.end for e in events})
-    segments: list[Tuple[Fraction, Fraction, NoteEvent]] = []
+    ends = [e.end for e in events]
+    boundaries = sorted(set(ends).union(e.onset for e in events))
+    by_onset = sorted(range(len(events)), key=lambda i: events[i].onset)
+    heap: list[Tuple[int, Fraction, int, int]] = []
+    pushed = 0
+    segments: list[Tuple[Fraction, Fraction, int]] = []
     for lo, hi in zip(boundaries, boundaries[1:]):
-        sounding = [e for e in events if e.onset <= lo and e.end >= hi]
-        if not sounding:
+        while pushed < len(by_onset) and events[by_onset[pushed]].onset <= lo:
+            i = by_onset[pushed]
+            heapq.heappush(heap, (-events[i].pitch, events[i].onset,
+                                  events[i].voice, i))
+            pushed += 1
+        while heap and ends[heap[0][3]] <= lo:
+            heapq.heappop(heap)
+        if not heap:
             continue
-        winner = min(sounding, key=lambda e: (-e.pitch, e.onset, e.voice))
-        if segments and segments[-1][2] is winner and segments[-1][1] == lo:
-            prev_lo, _, _ = segments.pop()
-            segments.append((prev_lo, hi, winner))
+        winner = heap[0][3]
+        if segments and segments[-1][2] == winner and segments[-1][1] == lo:
+            segments[-1] = (segments[-1][0], hi, winner)
         else:
             segments.append((lo, hi, winner))
-    out = tuple(NoteEvent(lo, hi - lo, src.pitch, src.velocity, src.voice)
-                for lo, hi, src in segments)
+    out = tuple(NoteEvent(lo, hi - lo, events[i].pitch, events[i].velocity,
+                          events[i].voice)
+                for lo, hi, i in segments)
     return Part(voice=0, events=out)

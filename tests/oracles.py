@@ -1,9 +1,12 @@
 """Independent oracles the tests check the library against.
 
 Deliberately written with different algorithms than the implementations
-they verify: plain recursion instead of the rolling-array DP, string
-rewriting instead of tree rewriting, a per-window sum over every event
-instead of prefix integrals, and a from-scratch MIDI byte writer.
+they verify: plain recursion instead of the bit-vector edit distance,
+string rewriting instead of tree rewriting, a per-window sum over every
+event instead of prefix integrals, a scan of every event at every
+boundary instead of a heap sweep, every recurrence window scored from
+scratch instead of one pass per window start, and a from-scratch MIDI
+byte writer.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Set, Tuple
+
+from arcform.recurrence import IntervalProfile, RecurrenceMatch, RecurrenceSeries
+from arcform.score import NoteEvent, Part, Piece
 
 
 def recursive_edit_distance(a: Sequence, b: Sequence) -> int:
@@ -113,6 +119,85 @@ def oracle_salience_curve(piece, weights, window):
     return tuple(
         (t, w_pitch * pc + w_density * (c / max_count) + w_velocity * vc)
         for t, pc, vc, c in zip(times, pitch_comp, vel_comp, counts))
+
+
+def oracle_skyline(piece: Piece) -> Part:
+    """Top line by the direct definition: between every two neighbouring
+    boundaries, scan every event for the highest one sounding.
+
+    Costs O(boundaries x events); the library's heap sweep must return
+    the equal Part. Ties go to the earlier onset, then the lower voice,
+    then the first in `all_events()` order (`min` keeps the first).
+    """
+    events = piece.all_events()
+    boundaries = sorted({e.onset for e in events} | {e.end for e in events})
+    segments: list = []
+    for lo, hi in zip(boundaries, boundaries[1:]):
+        sounding = [e for e in events if e.onset <= lo and e.end >= hi]
+        if not sounding:
+            continue
+        winner = min(sounding, key=lambda e: (-e.pitch, e.onset, e.voice))
+        if segments and segments[-1][2] is winner and segments[-1][1] == lo:
+            prev_lo, _, _ = segments.pop()
+            segments.append((prev_lo, hi, winner))
+        else:
+            segments.append((lo, hi, winner))
+    return Part(voice=0, events=tuple(
+        NoteEvent(lo, hi - lo, src.pitch, src.velocity, src.voice)
+        for lo, hi, src in segments))
+
+
+def _steps_and_ratios(notes: Sequence[NoteEvent]):
+    return (tuple(b.pitch - a.pitch for a, b in zip(notes, notes[1:])),
+            tuple(b.duration / a.duration for a, b in zip(notes, notes[1:])))
+
+
+def oracle_find_recurrences(piece: Piece, query: Part, threshold: float,
+                            weights: Tuple[float, float]) -> RecurrenceSeries:
+    """Recurrences by the direct definition: every window of every part's
+    skyline gets its own profile and a recursive edit distance.
+
+    The query must be monophonic; input checks are left to the library.
+    """
+    q_steps, q_ratios = _steps_and_ratios(query.events)
+    n = len(query.events)
+    lo = max(2, n // 2)
+    hi = -(-3 * n // 2)  # ceil(1.5 n)
+    candidates = []
+    for part in piece.parts:
+        if not part.events:
+            continue
+        notes = oracle_skyline(Piece(parts=(part,))).events
+        for length in range(lo, min(hi, len(notes)) + 1):
+            for start in range(len(notes) - length + 1):
+                window = notes[start:start + length]
+                sim = oracle_similarity(q_steps, q_ratios,
+                                        *_steps_and_ratios(window), *weights)
+                if sim >= threshold:
+                    candidates.append(
+                        (sim, part.voice, window[0].onset, window[-1].end))
+    # greedy by descending similarity; a candidate overlapping a chosen
+    # one in the same part is dropped
+    candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
+    chosen: list = []
+    for cand in candidates:
+        _, voice, start, end = cand
+        if any(v == voice and start < e and s < end
+               for _, v, s, e in chosen):
+            continue
+        chosen.append(cand)
+    chosen.sort(key=lambda c: (c[2], c[1]))
+    matches = tuple(RecurrenceMatch(i, voice, start, end, sim)
+                    for i, (sim, voice, start, end) in enumerate(chosen))
+    outlier = None
+    if len(matches) > 1:
+        deviations = [m.deviation for m in matches]
+        at_max = [i for i, d in enumerate(deviations) if d == max(deviations)]
+        if len(at_max) == 1:
+            outlier = at_max[0]
+    return RecurrenceSeries(IntervalProfile(q_steps, q_ratios), matches,
+                            outlier)
+
 
 # --- minimal Standard MIDI File writer -------------------------------------
 

@@ -99,6 +99,43 @@ def test_config_echo_round_trips(fixtures_dir):
     assert config.threshold == 0.7
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--window", "1/0", "--window: bad value for window"),
+    ("--window", "abc", "--window: bad value for window"),
+    ("--weights", "a,b,c", "--weights: bad value for w_pitch"),
+    ("--weights", "0.5,0.5", "--weights needs three comma-separated values"),
+    ("--threshold", "abc", "--threshold: bad value for threshold"),
+])
+def test_bad_flag_value_exit_2(fixtures_dir, flag, value, message):
+    res = run_cli("analyze", fixtures_dir / "fixture_fig1.notes", flag, value)
+    assert res.returncode == 2
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_bad_config_value_names_file_and_line(fixtures_dir, tmp_path):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text("threshold=0.9\nwindow=1/0\n")
+    res = run_cli("analyze", fixtures_dir / "fixture_fig1.notes",
+                  "--config", cfg)
+    assert res.returncode == 2
+    assert f"{cfg}:2: bad value for window" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("name", ["score.notes", "a.cfg"])
+def test_non_utf8_input_exit_2(fixtures_dir, tmp_path, name):
+    bad = tmp_path / name
+    bad.write_bytes(b"0 1 60\n\xff\xfe\n")
+    args = (["analyze", bad] if name.endswith(".notes") else
+            ["analyze", fixtures_dir / "fixture_fig1.notes", "--config", bad])
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert "not UTF-8 text" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_config_file_flags_win(fixtures_dir, tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("threshold=0.9\nwindow=16\n")

@@ -8,9 +8,11 @@ from arcform import (AnalysisError, NoteEvent, Part, Piece,
                      find_recurrences, interval_profile, parse_text,
                      similarity, skyline)
 from arcform.recurrence import (MAJOR_SET, NATURAL_MINOR_SET,
-                                IntervalProfile)
+                                IntervalProfile, _pattern_masks,
+                                _prefix_distances)
 
-from oracles import oracle_similarity
+from oracles import (oracle_find_recurrences, oracle_similarity,
+                     oracle_skyline, recursive_edit_distance)
 
 
 def melody(pitches, durations=None, start=0, voice=0):
@@ -116,6 +118,105 @@ def test_transposition_and_tempo_invariance(m, shift, scale):
     other = Part(0, tuple(scaled))
     assert interval_profile(other) == interval_profile(m)
     assert similarity(interval_profile(m), interval_profile(other)) == 1.0
+
+
+# --- bit-vector edit distance -------------------------------------------------
+
+def prefix_distances(pattern, text):
+    return _prefix_distances(len(pattern), _pattern_masks(pattern), text)
+
+
+@given(st.lists(st.integers(0, 3), max_size=10),
+       st.lists(st.integers(0, 3), max_size=12))
+def test_prefix_distances_match_recursive_oracle(pattern, text):
+    assert prefix_distances(pattern, text) == [
+        recursive_edit_distance(pattern, text[:k])
+        for k in range(len(text) + 1)]
+
+
+def test_prefix_distances_empty_query_and_empty_text():
+    assert prefix_distances([], [5, 6, 7]) == [0, 1, 2, 3]
+    assert prefix_distances([5, 6, 7], []) == [3]
+    assert prefix_distances([], []) == [0]
+
+
+def test_prefix_distances_pattern_longer_than_a_machine_word():
+    pattern = [i % 7 for i in range(70)]
+    text = [i % 5 for i in range(75)]
+    got = prefix_distances(pattern, text)
+    assert got[-1] == recursive_edit_distance(pattern, text)
+    assert got[20] == recursive_edit_distance(pattern, text[:20])
+
+
+# --- heap-sweep skyline and one-pass recurrences against the oracles ------------
+
+_GRID_ONSETS = st.builds(Fraction, st.integers(0, 24), st.sampled_from([1, 2, 3]))
+_SHORT_DURATIONS = st.sampled_from(
+    [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)])
+
+
+@st.composite
+def tied_parts(draw, voice, max_events=14):
+    """Overlapping notes on a narrow pitch range (so equal-pitch ties are
+    common), with rests between them and some notes repeated, exactly or
+    with another velocity."""
+    events = draw(st.lists(st.builds(
+        NoteEvent, onset=_GRID_ONSETS, duration=_SHORT_DURATIONS,
+        pitch=st.integers(60, 64), velocity=st.integers(1, 127),
+        voice=st.integers(0, 2)), max_size=max_events))
+    if events:
+        for e in draw(st.lists(st.sampled_from(events), max_size=3)):
+            velocity = draw(st.sampled_from([e.velocity, 1]))
+            events.append(NoteEvent(e.onset, e.duration, e.pitch, velocity,
+                                    e.voice))
+    return Part(voice, tuple(events))
+
+
+@st.composite
+def tied_pieces(draw, max_parts=3):
+    n = draw(st.integers(1, max_parts))
+    return Piece(parts=tuple(draw(tied_parts(v)) for v in range(n)))
+
+
+@given(tied_pieces())
+def test_skyline_matches_oracle(piece):
+    if not piece.all_events():
+        with pytest.raises(AnalysisError, match="empty"):
+            skyline(piece)
+        return
+    assert skyline(piece) == oracle_skyline(piece)
+
+
+@st.composite
+def recurrence_cases(draw):
+    piece = draw(tied_pieces())
+    lines = [skyline(Piece(parts=(p,))).events for p in piece.parts
+             if p.events]
+    lines = [line for line in lines if len(line) >= 2]
+    if lines and draw(st.booleans()):
+        # a slice of one part's own top line, so some windows score high
+        line = draw(st.sampled_from(lines))
+        start = draw(st.integers(0, len(line) - 2))
+        stop = draw(st.integers(start + 2, min(len(line), start + 8)))
+        query = Part(0, line[start:stop])
+    else:
+        n = draw(st.integers(2, 8))
+        query = melody(draw(st.lists(st.integers(60, 64), min_size=n,
+                                     max_size=n)),
+                       draw(st.lists(_SHORT_DURATIONS, min_size=n,
+                                     max_size=n)))
+    threshold = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9, 1.0]))
+    weights = draw(st.sampled_from([(0.7, 0.3), (0.5, 0.5), (1.0, 0.0),
+                                    (0.0, 1.0)]))
+    return piece, query, threshold, weights
+
+
+@given(recurrence_cases())
+@settings(deadline=None)
+def test_find_recurrences_matches_oracle(case):
+    piece, query, threshold, weights = case
+    assert find_recurrences(piece, query, threshold, weights) == \
+        oracle_find_recurrences(piece, query, threshold, weights)
 
 
 # --- find_recurrences ---------------------------------------------------------
