@@ -1,13 +1,15 @@
-"""Byte-exact golden outputs for `arcform analyze`, `climax --csv` and `recur`.
+"""Byte-exact golden outputs for every `arcform` subcommand.
 
 Every well-formed `.notes` fixture and three seeded synthetic pieces are
 run through the CLI entry point; each output must equal its file under
 `tests/golden/` byte for byte. `recur` runs the two chorale fixtures
 against `chorale_query.notes`, and each synthetic piece against a slice
 of one of its own voices at three thresholds; at the lowest, many
-overlapping windows pass and the overlap resolution picks among them. After an intended change of
-output,
-re-record the files with
+overlapping windows pass and the overlap resolution picks among them.
+`EXTRA_CASES` pins the remaining paths: `analyze` with `--query` and
+`--form` (derivable and not), `climax` JSON, `corpus` over both corpus
+directories and the `form` subcommands' `--json` output. After an
+intended change of output, re-record the files with
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -44,6 +46,22 @@ SYNTHETIC_WINDOW = "3/2"
 RECUR_FIXTURES = ("fixture_fig1.notes", "passion_chorales.notes")
 RECUR_QUERY = "chorale_query.notes"
 RECUR_THRESHOLDS = ("0.6", "0.3", "0.1")
+# (golden file name, input file, CLI args); run in the fixtures directory
+EXTRA_CASES = (
+    ("passion_chorales.analyze-query-form.json", "passion_chorales.notes",
+     ["analyze", "passion_chorales.notes", "--query", RECUR_QUERY,
+      "--form", "AAB", "--seed", "AB"]),
+    ("fixture_fig1.analyze-form-ABB.json", "fixture_fig1.notes",
+     ["analyze", "fixture_fig1.notes", "--form", "ABB"]),
+    ("fixture_fig1.climax.json", "fixture_fig1.notes",
+     ["climax", "fixture_fig1.notes"]),
+    ("corpus.corpus.csv", "corpus", ["corpus", "corpus"]),
+    ("corpus_bad.corpus.csv", "corpus_bad", ["corpus", "corpus_bad"]),
+    ("form-generate.json", "", ["form", "generate", "--seed", "AB",
+                                "--steps", "3", "--json"]),
+    ("form-recognize.json", "", ["form", "recognize", "AABA", "--seed", "ABA",
+                                 "--json"]),
+)
 
 
 def synthetic_piece(seed: int, voices: int, per_voice: int,
@@ -96,6 +114,7 @@ def _cases() -> List[Tuple[str, str, List[str]]]:
                           ["recur", name, "--query",
                            f"synthetic_{seed}.query.notes",
                            "--threshold", threshold]))
+    cases.extend(EXTRA_CASES)
     return cases
 
 
