@@ -5,14 +5,13 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from . import __version__
 from .climax import climax_profile
-from .config import AnalysisConfig, load_config, parse_setting
+from .config import AnalysisConfig, parse_setting, read_settings
 from .errors import AnalysisError, ArcformError, ScoreFormatError
 from .grammar import (flatten, generate, parse_form, predicted_climax_position,
                       recognize)
@@ -39,39 +38,22 @@ def load_piece(path: str) -> Piece:
     raise ScoreFormatError(f"unknown input extension {suffix!r} for {path}")
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH",
-                        help="key=value config file (flags win)")
-    parser.add_argument("--out", metavar="PATH",
-                        help="write output here instead of stdout")
-    parser.add_argument("--weights", metavar="P,D,V",
-                        help="salience weights pitch,density,velocity")
-    parser.add_argument("--window", metavar="BEATS",
-                        help="salience window width in beats")
-    parser.add_argument("--threshold", metavar="X",
-                        help="recurrence similarity threshold")
-    parser.add_argument("--json", action="store_true",
-                        help="force JSON output")
-
-
 def _effective_config(args: argparse.Namespace) -> AnalysisConfig:
-    config = AnalysisConfig()
-    if getattr(args, "config", None):
-        config = load_config(args.config, config)
-    if getattr(args, "weights", None):
+    """Defaults, then the --config file, then the flags. The config is
+    built once, so it is validated whole, never a partial override."""
+    settings = read_settings(args.config) if args.config else {}
+    if args.weights:
         values = args.weights.split(",")
         if len(values) != 3:
             raise ArcformError("--weights needs three comma-separated values")
-        keys = ("w_pitch", "w_density", "w_velocity")
-        config = replace(config, **{key: parse_setting(key, value, "--weights")
-                                    for key, value in zip(keys, values)})
-    if getattr(args, "window", None):
-        config = replace(config, window=parse_setting("window", args.window,
-                                                      "--window"))
+        for key, value in zip(("w_pitch", "w_density", "w_velocity"), values):
+            settings[key] = parse_setting(key, value, "--weights")
+    if args.window:
+        settings["window"] = parse_setting("window", args.window, "--window")
     if getattr(args, "threshold", None) is not None:
-        config = replace(config, threshold=parse_setting(
-            "threshold", args.threshold, "--threshold"))
-    return config
+        settings["threshold"] = parse_setting("threshold", args.threshold,
+                                              "--threshold")
+    return AnalysisConfig(**settings)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -81,57 +63,38 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def _form_section(form: str, seed: str) -> Dict[str, Any]:
+    steps = recognize(form, parse_form(seed))
+    return {"form": form, "seed": seed,
+            "minimal_steps": "not derivable" if steps is None else steps}
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    """analyze, climax and recur: one JSON report, whose sections the
+    subcommand and its flags select (`climax --csv` emits the curve)."""
     config = _effective_config(args)
     piece = load_piece(args.input)
-    climax = climax_profile(piece, config.salience_weights, config.window)
-    recurrence = None
-    if args.query:
-        query_piece = load_piece(args.query)
-        query = skyline(query_piece)
-        recurrence = find_recurrences(piece, query, config.threshold,
-                                      config.similarity_weights)
-    form = None
-    if args.form:
-        seed = parse_form(args.seed or "AB")
-        steps = recognize(args.form, seed)
-        form = {
-            "form": args.form,
-            "seed": flatten(seed),
-            "minimal_steps": steps if steps is not None else "not derivable",
-        }
-        if steps is not None:
-            n_copies = steps + 1
+    sections: Dict[str, Any] = {}
+    if args.command != "recur":
+        climax = sections["climax"] = climax_profile(
+            piece, config.salience_weights, config.window)
+        if getattr(args, "csv", False):
+            _emit(curve_csv(climax), args.out)
+            return EXIT_OK
+    if getattr(args, "query", None):
+        query = skyline(load_piece(args.query))
+        sections["recurrence"] = find_recurrences(
+            piece, query, config.threshold, config.similarity_weights)
+    if getattr(args, "form", None):
+        form = sections["form"] = _form_section(args.form, args.seed or "AB")
+        steps = form["minimal_steps"]
+        if steps != "not derivable":
+            # A and B at unit length: the grammar's prediction, not a
+            # measurement of the piece's sections
             form["predicted_climax_position"] = float(
-                predicted_climax_position(n_copies, (Fraction(1), Fraction(1))))
+                predicted_climax_position(steps + 1, (Fraction(1), Fraction(1))))
             form["measured_climax_position"] = climax.normalized_position
-    report = build_report(piece, args.input, config, __version__,
-                          climax=climax, recurrence=recurrence, form=form)
-    _emit(render_json(report), args.out)
-    return EXIT_OK
-
-
-def cmd_climax(args: argparse.Namespace) -> int:
-    config = _effective_config(args)
-    piece = load_piece(args.input)
-    profile = climax_profile(piece, config.salience_weights, config.window)
-    if args.csv and not args.json:
-        _emit(curve_csv(profile), args.out)
-    else:
-        report = build_report(piece, args.input, config, __version__,
-                              climax=profile)
-        _emit(render_json(report), args.out)
-    return EXIT_OK
-
-
-def cmd_recur(args: argparse.Namespace) -> int:
-    config = _effective_config(args)
-    piece = load_piece(args.input)
-    query = skyline(load_piece(args.query))
-    series = find_recurrences(piece, query, config.threshold,
-                              config.similarity_weights)
-    report = build_report(piece, args.input, config, __version__,
-                          recurrence=series)
+    report = build_report(piece, args.input, config, __version__, **sections)
     _emit(render_json(report), args.out)
     return EXIT_OK
 
@@ -148,15 +111,11 @@ def cmd_form_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_form_recognize(args: argparse.Namespace) -> int:
-    seed = parse_form(args.seed)
-    steps = recognize(args.form, seed)
-    text = "not derivable" if steps is None else str(steps)
+    section = _form_section(args.form, args.seed)
     if args.json:
-        _emit(render_json({"form": args.form, "seed": args.seed,
-                           "minimal_steps": steps if steps is not None
-                           else "not derivable"}), args.out)
+        _emit(render_json(section), args.out)
     else:
-        _emit(text + "\n", args.out)
+        _emit(f"{section['minimal_steps']}\n", args.out)
     return EXIT_OK
 
 
@@ -208,7 +167,25 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"arcform {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", help="full analysis to JSON")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH",
+                     help="write output here instead of stdout")
+    salience = argparse.ArgumentParser(add_help=False, parents=[out])
+    salience.add_argument("--config", metavar="PATH",
+                          help="key=value config file (flags win)")
+    salience.add_argument("--weights", metavar="P,D,V",
+                          help="salience weights pitch,density,velocity")
+    salience.add_argument("--window", metavar="BEATS",
+                          help="salience window width in beats")
+    analysis = argparse.ArgumentParser(add_help=False, parents=[salience])
+    analysis.add_argument("--threshold", metavar="X",
+                          help="recurrence similarity threshold")
+    as_json = argparse.ArgumentParser(add_help=False, parents=[out])
+    as_json.add_argument("--json", action="store_true",
+                         help="emit JSON instead of text")
+
+    p_analyze = sub.add_parser("analyze", parents=[analysis],
+                               help="full analysis to JSON")
     p_analyze.add_argument("input", help=".notes or .mid score")
     p_analyze.add_argument("--query", metavar="PATH",
                            help="melody file: also run recurrence detection")
@@ -216,38 +193,35 @@ def build_parser() -> argparse.ArgumentParser:
                            help="form string: also run form recognition")
     p_analyze.add_argument("--seed", metavar="FORM", default="AB",
                            help="seed form for recognition (default AB)")
-    _add_shared_flags(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
+    p_analyze.set_defaults(func=cmd_report)
 
-    p_climax = sub.add_parser("climax", help="climax profile only")
+    p_climax = sub.add_parser("climax", parents=[analysis],
+                              help="climax profile only")
     p_climax.add_argument("input")
     p_climax.add_argument("--csv", action="store_true",
                           help="emit the salience curve as CSV")
-    _add_shared_flags(p_climax)
-    p_climax.set_defaults(func=cmd_climax)
+    p_climax.set_defaults(func=cmd_report)
 
-    p_recur = sub.add_parser("recur", help="recurrence detection only")
+    p_recur = sub.add_parser("recur", parents=[analysis],
+                             help="recurrence detection only")
     p_recur.add_argument("input")
     p_recur.add_argument("--query", metavar="PATH", required=True)
-    _add_shared_flags(p_recur)
-    p_recur.set_defaults(func=cmd_recur)
+    p_recur.set_defaults(func=cmd_report)
 
     p_form = sub.add_parser("form", help="form grammar tools")
     form_sub = p_form.add_subparsers(dest="form_command", required=True)
-    p_gen = form_sub.add_parser("generate")
+    p_gen = form_sub.add_parser("generate", parents=[as_json])
     p_gen.add_argument("--seed", metavar="FORM", default="AB")
     p_gen.add_argument("--steps", type=int, default=1)
-    _add_shared_flags(p_gen)
     p_gen.set_defaults(func=cmd_form_generate)
-    p_rec = form_sub.add_parser("recognize")
+    p_rec = form_sub.add_parser("recognize", parents=[as_json])
     p_rec.add_argument("form")
     p_rec.add_argument("--seed", metavar="FORM", default="AB")
-    _add_shared_flags(p_rec)
     p_rec.set_defaults(func=cmd_form_recognize)
 
-    p_corpus = sub.add_parser("corpus", help="batch climax stats to CSV")
+    p_corpus = sub.add_parser("corpus", parents=[salience],
+                              help="batch climax stats to CSV")
     p_corpus.add_argument("directory")
-    _add_shared_flags(p_corpus)
     p_corpus.set_defaults(func=cmd_corpus)
 
     return parser

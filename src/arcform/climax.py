@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
+from .config import DEFAULTS, check_weights
 from .errors import AnalysisError
 from .score import NoteEvent, Piece
 
@@ -21,12 +22,7 @@ __all__ = [
     "salience_curve",
     "locate_climax",
     "climax_profile",
-    "DEFAULT_SALIENCE_WEIGHTS",
-    "DEFAULT_WINDOW",
 ]
-
-DEFAULT_SALIENCE_WEIGHTS = (0.4, 0.3, 0.3)
-DEFAULT_WINDOW = Fraction(4)
 
 Curve = Tuple[Tuple[Fraction, float], ...]
 
@@ -38,13 +34,6 @@ class ClimaxProfile:
     normalized_position: float
     asymmetry_index: float
     pre_mass_fraction: float
-
-
-def _check_weights(weights: Tuple[float, float, float]) -> None:
-    if len(weights) != 3 or any(w < 0 for w in weights):
-        raise AnalysisError("salience weights must be three nonnegative values")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise AnalysisError("salience weights must sum to 1")
 
 
 def _ticks(x: Fraction, scale: int) -> int:
@@ -105,8 +94,8 @@ def _integrals_at(bounds: List[int], rows, x: int) -> Tuple[int, int, int]:
 
 
 def salience_curve(piece: Piece,
-                   weights: Tuple[float, float, float] = DEFAULT_SALIENCE_WEIGHTS,
-                   window: Fraction = DEFAULT_WINDOW) -> Curve:
+                   weights: Tuple[float, float, float] = DEFAULTS.salience_weights,
+                   window: Fraction = DEFAULTS.window) -> Curve:
     """Sample salience on a grid of half-window steps over [0, beats_total].
 
     Windows are centered on the grid points and clipped to the piece.
@@ -114,7 +103,7 @@ def salience_curve(piece: Piece,
     exact prefix integrals, and its onset count is two bisections, so
     the curve costs O((events + grid points) log events).
     """
-    _check_weights(weights)
+    check_weights(weights, 3)
     window = Fraction(window)
     if window <= 0:
         raise AnalysisError("window must be positive")
@@ -201,6 +190,6 @@ def locate_climax(curve: Curve) -> ClimaxProfile:
 
 
 def climax_profile(piece: Piece,
-                   weights: Tuple[float, float, float] = DEFAULT_SALIENCE_WEIGHTS,
-                   window: Fraction = DEFAULT_WINDOW) -> ClimaxProfile:
+                   weights: Tuple[float, float, float] = DEFAULTS.salience_weights,
+                   window: Fraction = DEFAULTS.window) -> ClimaxProfile:
     return locate_climax(salience_curve(piece, weights, window))

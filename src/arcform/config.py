@@ -4,15 +4,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import ArcformError
+from .errors import AnalysisError, ArcformError
 
-__all__ = ["AnalysisConfig", "load_config", "parse_setting"]
+__all__ = ["AnalysisConfig", "DEFAULTS", "check_weights", "load_config",
+           "parse_setting", "read_settings"]
+
+
+def check_weights(weights: Sequence[float], count: int) -> None:
+    """Raise AnalysisError unless weights are `count` nonnegative values
+    summing to 1. The tests are positive, so NaN fails them."""
+    if not (len(weights) == count and all(w >= 0 for w in weights)
+            and abs(sum(weights) - 1.0) <= 1e-9):
+        raise AnalysisError(f"weights must be {count} nonnegative values "
+                            f"summing to 1, got {tuple(weights)}")
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
+    """The one source of analysis defaults; every instance is valid."""
+
     window: Fraction = Fraction(4)
     w_pitch: float = 0.4
     w_density: float = 0.3
@@ -20,6 +32,15 @@ class AnalysisConfig:
     sim_pitch: float = 0.7
     sim_rhythm: float = 0.3
     threshold: float = 0.6
+
+    def __post_init__(self):
+        object.__setattr__(self, "window", Fraction(self.window))
+        check_weights(self.salience_weights, 3)
+        check_weights(self.similarity_weights, 2)
+        if self.window <= 0:
+            raise AnalysisError("window must be positive")
+        if not 0 < self.threshold <= 1:
+            raise AnalysisError("threshold must be in (0, 1]")
 
     @property
     def salience_weights(self) -> Tuple[float, float, float]:
@@ -29,29 +50,8 @@ class AnalysisConfig:
     def similarity_weights(self) -> Tuple[float, float]:
         return (self.sim_pitch, self.sim_rhythm)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "window": str(self.window),
-            "w_pitch": self.w_pitch,
-            "w_density": self.w_density,
-            "w_velocity": self.w_velocity,
-            "sim_pitch": self.sim_pitch,
-            "sim_rhythm": self.sim_rhythm,
-            "threshold": self.threshold,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "AnalysisConfig":
-        return cls(
-            window=Fraction(str(data["window"])),
-            w_pitch=float(data["w_pitch"]),
-            w_density=float(data["w_density"]),
-            w_velocity=float(data["w_velocity"]),
-            sim_pitch=float(data["sim_pitch"]),
-            sim_rhythm=float(data["sim_rhythm"]),
-            threshold=float(data["threshold"]),
-        )
-
+DEFAULTS = AnalysisConfig()
 
 _FLOAT_KEYS = {"w_pitch", "w_density", "w_velocity",
                "sim_pitch", "sim_rhythm", "threshold"}
@@ -73,14 +73,14 @@ def parse_setting(key: str, value: str, where: str) -> object:
     raise ArcformError(f"{where}: unknown key {key!r}")
 
 
-def load_config(path: str, base: Optional[AnalysisConfig] = None) -> AnalysisConfig:
-    """Read a key=value config file on top of the defaults."""
-    config = base or AnalysisConfig()
+def read_settings(path: str) -> Dict[str, object]:
+    """The parsed settings of a key=value config file; a later line wins."""
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ArcformError(f"{path}: not UTF-8 text") from exc
+    settings: Dict[str, object] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -89,6 +89,10 @@ def load_config(path: str, base: Optional[AnalysisConfig] = None) -> AnalysisCon
             raise ArcformError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        config = replace(config, **{key: parse_setting(key, value,
-                                                       f"{path}:{lineno}")})
-    return config
+        settings[key] = parse_setting(key, value, f"{path}:{lineno}")
+    return settings
+
+
+def load_config(path: str, base: Optional[AnalysisConfig] = None) -> AnalysisConfig:
+    """Read a key=value config file on top of the defaults."""
+    return replace(base or DEFAULTS, **read_settings(path))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+from .config import DEFAULTS, check_weights
 from .errors import AnalysisError
 from .score import Part, Piece, skyline
 
@@ -31,9 +32,6 @@ __all__ = [
 MAJOR_SET = frozenset({0, 2, 4, 5, 7, 9, 11})
 # natural minor plus the raised 7th (leading tone) admitted as diatonic
 MINOR_SET = frozenset({0, 2, 3, 5, 7, 8, 10, 11})
-
-DEFAULT_SIMILARITY_WEIGHTS = (0.7, 0.3)
-DEFAULT_THRESHOLD = 0.6
 
 
 @dataclass(frozen=True)
@@ -123,12 +121,6 @@ def _prefix_distances(pattern_len: int, masks: Dict[Hashable, int],
     return out
 
 
-def _check_weights(weights: Tuple[float, float]) -> None:
-    w1, w2 = weights
-    if w1 < 0 or w2 < 0 or abs(w1 + w2 - 1.0) > 1e-9:
-        raise AnalysisError("weights must be nonnegative and sum to 1")
-
-
 def _score(d_steps: int, d_ratios: int, denom: int,
            w_pitch: Fraction, w_rhythm: Fraction) -> float:
     """1 minus the weighted distance over denom, clamped to [0, 1].
@@ -141,9 +133,9 @@ def _score(d_steps: int, d_ratios: int, denom: int,
 
 
 def similarity(a: IntervalProfile, b: IntervalProfile,
-               weights: Tuple[float, float] = DEFAULT_SIMILARITY_WEIGHTS) -> float:
+               weights: Tuple[float, float] = DEFAULTS.similarity_weights) -> float:
     """1 minus the weighted normalized edit distance of the two profiles."""
-    _check_weights(weights)
+    check_weights(weights, 2)
     if len(a) == 0 and len(b) == 0:
         return 1.0
     d_steps = _prefix_distances(len(a), _pattern_masks(a.steps), b.steps)[-1]
@@ -154,8 +146,8 @@ def similarity(a: IntervalProfile, b: IntervalProfile,
 
 
 def find_recurrences(piece: Piece, query: Part,
-                     threshold: float = DEFAULT_THRESHOLD,
-                     weights: Tuple[float, float] = DEFAULT_SIMILARITY_WEIGHTS,
+                     threshold: float = DEFAULTS.threshold,
+                     weights: Tuple[float, float] = DEFAULTS.similarity_weights,
                      ) -> RecurrenceSeries:
     """Find every non-overlapping statement of the query melody.
 
@@ -173,7 +165,7 @@ def find_recurrences(piece: Piece, query: Part,
         raise AnalysisError("query shorter than 2 notes")
     if not 0 < threshold <= 1:
         raise AnalysisError("threshold must be in (0, 1]")
-    _check_weights(weights)
+    check_weights(weights, 2)
     qprof = interval_profile(query)
     n = len(query.events)
     lo = max(2, n // 2)

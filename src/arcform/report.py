@@ -83,7 +83,7 @@ def build_report(piece: Piece, source: str, config: AnalysisConfig,
         "parts": len(piece.parts),
         "events": len(piece.all_events()),
         "tool_version": version,
-        "config": config.to_dict(),
+        "config": config,
     }
     if climax is not None:
         report["climax"] = _climax_dict(climax)

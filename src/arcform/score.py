@@ -69,12 +69,12 @@ class NoteEvent:
     def __post_init__(self):
         object.__setattr__(self, "onset", Fraction(self.onset))
         object.__setattr__(self, "duration", Fraction(self.duration))
-        if self.onset < 0:
-            raise ValueError("negative onset")
         if self.duration <= 0:
             raise ValueError("non-positive duration")
+        if self.onset < 0:
+            raise ValueError("negative onset")
         if not 0 <= self.pitch <= 127:
-            raise ValueError("pitch out of MIDI range")
+            raise ValueError("pitch out of range")
         if not 1 <= self.velocity <= 127:
             raise ValueError("velocity out of range")
 
@@ -172,15 +172,10 @@ def parse_text(source: str) -> Piece:
             voice = int(fields[4]) if len(fields) >= 5 else 0
         except (ValueError, ZeroDivisionError) as exc:
             raise NotesParseError("non-numeric field", lineno) from exc
-        if duration <= 0:
-            raise NotesParseError("non-positive duration", lineno)
-        if onset < 0:
-            raise NotesParseError("negative onset", lineno)
-        if not 0 <= pitch <= 127:
-            raise NotesParseError("pitch out of range", lineno)
-        if not 1 <= velocity <= 127:
-            raise NotesParseError("velocity out of range", lineno)
-        events.append(NoteEvent(onset, duration, pitch, velocity, voice))
+        try:
+            events.append(NoteEvent(onset, duration, pitch, velocity, voice))
+        except ValueError as exc:
+            raise NotesParseError(str(exc), lineno) from exc
     by_voice: dict[int, list[NoteEvent]] = {}
     for ev in events:
         by_voice.setdefault(ev.voice, []).append(ev)

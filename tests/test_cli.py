@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,19 @@ def test_analyze_with_form(fixtures_dir):
     assert res.returncode == 0
     report = json.loads(res.stdout)
     assert report["form"]["minimal_steps"] == 1
+
+
+def test_analyze_form_predicts_climax_at_unit_lengths(fixtures_dir):
+    res = run_cli("analyze", fixtures_dir / "fixture_fig1.notes",
+                  "--form", "AAAB", "--seed", "AB")
+    assert res.returncode == 0
+    report = json.loads(res.stdout)
+    form = report["form"]
+    assert form["minimal_steps"] == 2
+    # three A copies and one B, each of unit length: B starts at 3/4
+    assert form["predicted_climax_position"] == 0.75
+    assert (form["measured_climax_position"]
+            == report["climax"]["normalized_position"])
 
 
 def test_analyze_form_over_step_bound_exit_2(fixtures_dir):
@@ -93,7 +107,7 @@ def test_config_echo_round_trips(fixtures_dir):
                   "--weights", "0.5,0.25,0.25", "--window", "8",
                   "--threshold", "0.7")
     report = json.loads(res.stdout)
-    config = AnalysisConfig.from_dict(report["config"])
+    config = AnalysisConfig(**report["config"])
     assert config.salience_weights == (0.5, 0.25, 0.25)
     assert str(config.window) == "8"
     assert config.threshold == 0.7
@@ -138,12 +152,60 @@ def test_non_utf8_input_exit_2(fixtures_dir, tmp_path, name):
 
 def test_config_file_flags_win(fixtures_dir, tmp_path):
     cfg = tmp_path / "a.cfg"
-    cfg.write_text("threshold=0.9\nwindow=16\n")
+    # each weight line alone leaves the weights invalid; only the whole
+    # file is checked
+    cfg.write_text("threshold=0.9\nwindow=16\n"
+                   "w_pitch=0.5\nw_density=0.2\nw_velocity=0.3\n")
     res = run_cli("analyze", fixtures_dir / "fixture_fig1.notes",
                   "--config", cfg, "--window", "4")
     report = json.loads(res.stdout)
     assert report["config"]["threshold"] == 0.9  # from file
+    assert report["config"]["w_pitch"] == 0.5    # from file
     assert report["config"]["window"] == "4"     # flag wins
+
+
+@pytest.mark.parametrize("command, flags, config", [
+    ("climax", ["--weights", "nan,0.5,0.5"], None),
+    ("recur", [], "sim_pitch=nan\n"),
+    ("recur", ["--weights", "0.9,0.9,0.9"], None),
+    ("climax", [], "sim_pitch=0.9\n"),
+    ("recur", ["--window", "0"], None),
+    ("climax", ["--threshold", "0"], None),
+    ("corpus", [], "w_velocity=-0.1\n"),
+])
+def test_invalid_config_exit_3_before_analysis(fixtures_dir, tmp_path,
+                                               command, flags, config):
+    if config is not None:
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(config)
+        flags = [*flags, "--config", cfg]
+    if command == "corpus":
+        args = [fixtures_dir / "corpus"]
+    else:
+        args = [fixtures_dir / "passion_chorales.notes"]
+        if command == "recur":
+            args += ["--query", fixtures_dir / "chorale_query.notes"]
+    res = run_cli(command, *args, *flags)
+    assert res.returncode == 3
+    assert "error: " in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["form", "generate", "--window", "abc"],
+    ["form", "recognize", "AAB", "--config", "a.cfg"],
+    ["form", "generate", "--threshold", "0.5"],
+    ["analyze", "x.notes", "--json"],
+    ["climax", "x.notes", "--csv", "--json"],
+    ["recur", "x.notes", "--query", "q.notes", "--json"],
+    ["corpus", "scores", "--threshold", "0.5"],
+    ["corpus", "scores", "--json"],
+])
+def test_flag_a_subcommand_does_not_use_is_refused(args):
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert "unrecognized arguments" in res.stderr
 
 
 def test_out_flag_writes_file(fixtures_dir, tmp_path):
@@ -246,3 +308,14 @@ def test_corpus_deterministic(fixtures_dir):
     a = run_cli("corpus", fixtures_dir / "corpus")
     b = run_cli("corpus", fixtures_dir / "corpus")
     assert a.stdout == b.stdout
+
+
+# --- scripts ---------------------------------------------------------------------
+
+def test_demo_analysis_script_runs():
+    res = subprocess.run(
+        [sys.executable, PKG_ROOT / "scripts" / "demo_analysis.py"],
+        capture_output=True, text=True, cwd=PKG_ROOT,
+        env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")})
+    assert res.returncode == 0, res.stderr
+    assert "<- outlier" in res.stdout

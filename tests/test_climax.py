@@ -75,6 +75,8 @@ def test_bad_weights_rejected():
         salience_curve(mono_piece([60, 62]), weights=(0.5, 0.5, 0.5))
     with pytest.raises(AnalysisError, match="weights"):
         salience_curve(mono_piece([60, 62]), weights=(1.2, -0.1, -0.1))
+    with pytest.raises(AnalysisError, match="weights"):
+        salience_curve(mono_piece([60, 62]), weights=(float("nan"), 0.5, 0.5))
 
 
 

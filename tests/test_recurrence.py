@@ -77,6 +77,10 @@ def test_similarity_weight_violation():
         similarity(prof, prof, (0.9, 0.3))
     with pytest.raises(AnalysisError, match="weights"):
         similarity(prof, prof, (1.5, -0.5))
+    with pytest.raises(AnalysisError, match="weights"):
+        similarity(prof, prof, (0.5, 0.3, 0.2))
+    with pytest.raises(AnalysisError, match="weights"):
+        similarity(prof, prof, (float("nan"), 1.0))
 
 
 _PITCH_ALPHABET = [60, 62, 64, 65, 67]

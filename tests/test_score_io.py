@@ -41,6 +41,10 @@ def test_parse_zero_duration_rejected():
     ("x 1 60", "non-numeric"),
     ("0 1 200", "pitch out of range"),
     ("0 1 60 0", "velocity out of range"),
+    # several bad fields: the first failing check in this order wins
+    ("-1 0 200 0", "non-positive duration"),
+    ("-1 1 200 0", "negative onset"),
+    ("0 1 200 0", "pitch out of range"),
     ("@key C major\n@key D minor", "duplicate @key"),
     ("@key H major", "unknown tonic"),
 ])
