@@ -5,13 +5,15 @@ they verify: plain recursion instead of the bit-vector edit distance,
 string rewriting instead of tree rewriting, a per-window sum over every
 event instead of prefix integrals, a scan of every event at every
 boundary instead of a heap sweep, every recurrence window scored from
-scratch instead of one pass per window start, and a from-scratch MIDI
-byte writer.
+scratch instead of one pass per window start, a MIDI reader that builds
+each note's `Fraction`s as it closes, and a from-scratch MIDI byte
+writer.
 """
 
 from __future__ import annotations
 
 import struct
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Set, Tuple
@@ -197,6 +199,76 @@ def oracle_find_recurrences(piece: Piece, query: Part, threshold: float,
             outlier = at_max[0]
     return RecurrenceSeries(IntervalProfile(q_steps, q_ratios), matches,
                             outlier)
+
+
+def _oracle_varlen(data: bytes, pos: int):
+    value = 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        value = (value << 7) | (byte & 0x7F)
+        if not byte & 0x80:
+            return value, pos
+
+
+def _oracle_track(chunk: bytes, division: int, voice: int) -> Part:
+    """One MTrk chunk, each note built as a `NoteEvent` when it closes;
+    `Part` then sorts them stably by (onset, pitch)."""
+    events: list = []
+    open_notes: dict = {}
+    pos = tick = status = 0
+
+    def close(channel, pitch, end_tick):
+        stack = open_notes.get((channel, pitch))
+        if not stack:
+            return
+        start_tick, vel = stack.pop(0)
+        if end_tick > start_tick:
+            events.append(NoteEvent(Fraction(start_tick, division),
+                                    Fraction(end_tick - start_tick, division),
+                                    pitch, max(1, vel), voice))
+
+    while pos < len(chunk):
+        delta, pos = _oracle_varlen(chunk, pos)
+        tick += delta
+        if chunk[pos] & 0x80:
+            status = chunk[pos]
+            pos += 1
+        if status in (0xFF, 0xF0, 0xF7):
+            pos += status == 0xFF  # meta type
+            length, pos = _oracle_varlen(chunk, pos)
+            pos += length
+            continue
+        kind, channel = status & 0xF0, status & 0x0F
+        ndata = 1 if kind in (0xC0, 0xD0) else 2
+        data = chunk[pos:pos + ndata]
+        pos += ndata
+        if kind == 0x90 and data[1] > 0:
+            open_notes.setdefault((channel, data[0]), []).append(
+                (tick, data[1]))
+        elif kind == 0x80 or (kind == 0x90 and data[1] == 0):
+            close(channel, data[0], tick)
+    for (channel, pitch), stack in open_notes.items():
+        while stack:
+            warnings.warn(f"unmatched note-on (pitch {pitch}) closed at "
+                          f"track end")
+            close(channel, pitch, tick)
+    return Part(voice=voice, events=tuple(events))
+
+
+def oracle_import_midi(data: bytes) -> Piece:
+    """A well-formed format 0 or 1 SMF as a Piece: one Part per MTrk
+    chunk, voice = chunk index. Malformed input is the library's job."""
+    ntrks, division = struct.unpack(">HH", data[10:14])
+    pos = 8 + int.from_bytes(data[4:8], "big")
+    parts = []
+    for index in range(ntrks):
+        magic, length = struct.unpack(">4sI", data[pos:pos + 8])
+        if magic == b"MTrk":
+            parts.append(_oracle_track(data[pos + 8:pos + 8 + length],
+                                       division, index))
+        pos += 8 + length
+    return Piece(parts=tuple(parts))
 
 
 # --- minimal Standard MIDI File writer -------------------------------------

@@ -8,8 +8,10 @@ of one of its own voices at three thresholds; at the lowest, many
 overlapping windows pass and the overlap resolution picks among them.
 `EXTRA_CASES` pins the remaining paths: `analyze` with `--query` and
 `--form` (derivable and not), `climax` JSON, `corpus` over both corpus
-directories and the `form` subcommands' `--json` output. After an
-intended change of output, re-record the files with
+directories and the `form` subcommands' `--json` output. Seeded Standard
+MIDI Files, written at test time, pin `import_midi` through `analyze`
+and `corpus`. After an intended change of output, re-record the files
+with
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -20,6 +22,7 @@ import os
 import random
 import sys
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -28,6 +31,8 @@ import pytest
 
 from arcform import NoteEvent, Part, Piece, serialize_text
 from arcform.cli import main
+
+from oracles import midi_file
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
@@ -46,6 +51,14 @@ SYNTHETIC_WINDOW = "3/2"
 RECUR_FIXTURES = ("fixture_fig1.notes", "passion_chorales.notes")
 RECUR_QUERY = "chorale_query.notes"
 RECUR_THRESHOLDS = ("0.6", "0.3", "0.1")
+# (seed, SMF format, tracks with notes, notes per track, ticks per beat)
+MIDI = ((21, 0, 1, 80, 480),
+        (22, 1, 3, 40, 96),
+        (23, 1, 2, 30, 384))
+MIDI_WINDOW = "2/3"
+MIDI_CORPUS = "midi_corpus"
+# inputs written into the work directory rather than read from fixtures
+GENERATED = ("synthetic_", "midi_")
 # (golden file name, input file, CLI args); run in the fixtures directory
 EXTRA_CASES = (
     ("passion_chorales.analyze-query-form.json", "passion_chorales.notes",
@@ -89,6 +102,53 @@ def synthetic_query(piece: Piece) -> Piece:
     return Piece(parts=(Part(1, piece.parts[1].events[4:14]),))
 
 
+def synthetic_midi(seed: int, fmt: int, tracks: int, per_track: int,
+                   division: int) -> bytes:
+    """An SMF with what `import_midi` must get right: running status,
+    note-offs as 0x80 and as velocity-0 note-ons, overlapping notes of
+    one (channel, pitch), text meta events between notes, one unmatched
+    note-on per track, and notes that two channels start at the same
+    tick on the same pitch with different velocities. Format 1 files
+    lead with a conductor track that holds only a tempo event."""
+    rng = random.Random(seed)
+    out = [[(0, [0xFF, 0x51, 0x03, 0x07, 0xA1, 0x20])]] if fmt == 1 else []
+    for _ in range(tracks):
+        timed = []  # (tick, order, message)
+        tick = 0
+
+        def note(start, channel, pitch, velocity, duration):
+            timed.append((start, len(timed), [0x90 | channel, pitch, velocity]))
+            off = ([0x80 | channel, pitch, rng.randint(0, 127)]
+                   if rng.random() < 0.5 else [0x90 | channel, pitch, 0])
+            timed.append((start + duration, len(timed), off))
+
+        for _ in range(per_track):
+            tick += rng.choice((0, rng.randint(1, 2 * division)))
+            channel = rng.choice((0, 1, 9))
+            pitch = rng.randint(55, 67)
+            duration = rng.randint(1, 2 * division)
+            note(tick, channel, pitch, rng.randint(1, 127), duration)
+            if rng.random() < 0.15:
+                note(tick, (channel + 1) % 16, pitch, rng.randint(1, 127),
+                     rng.choice((duration, rng.randint(1, 2 * division))))
+            if rng.random() < 0.1:
+                timed.append((tick, len(timed), [0xFF, 0x01, 0x02, 0x68, 0x69]))
+        timed.append((tick + division, len(timed),
+                      [0x90 | rng.randint(0, 15), rng.randint(40, 80), 90]))
+        track = []
+        now = 0
+        status = None
+        for at, _, message in sorted(timed):
+            if message[0] == status and rng.random() < 0.7:
+                message = message[1:]  # running status
+            else:
+                status = message[0] if message[0] < 0xF0 else None
+            track.append((at - now, message))
+            now = at
+        out.append(track)
+    return midi_file(out, division=division, fmt=fmt)
+
+
 def _cases() -> List[Tuple[str, str, List[str]]]:
     """(golden file name, input file, CLI args before --out)."""
     cases = []
@@ -114,6 +174,12 @@ def _cases() -> List[Tuple[str, str, List[str]]]:
                           ["recur", name, "--query",
                            f"synthetic_{seed}.query.notes",
                            "--threshold", threshold]))
+    for seed, *_ in MIDI:
+        name = f"midi_{seed}.mid"
+        cases.append((f"midi_{seed}.analyze.json", name,
+                      ["analyze", name, "--window", MIDI_WINDOW]))
+    cases.append((f"{MIDI_CORPUS}.corpus.csv", MIDI_CORPUS,
+                   ["corpus", MIDI_CORPUS]))
     cases.extend(EXTRA_CASES)
     return cases
 
@@ -130,13 +196,23 @@ def render_all(workdir: Path) -> Dict[str, bytes]:
             serialize_text(piece), encoding="utf-8")
         (workdir / f"synthetic_{seed}.query.notes").write_text(
             serialize_text(synthetic_query(piece)), encoding="utf-8")
+    (workdir / MIDI_CORPUS).mkdir(exist_ok=True)
+    for seed, *shape in MIDI:
+        data = synthetic_midi(seed, *shape)
+        (workdir / f"midi_{seed}.mid").write_bytes(data)
+        (workdir / MIDI_CORPUS / f"midi_{seed}.mid").write_bytes(data)
+    (workdir / MIDI_CORPUS / "synthetic_11.notes").write_text(
+        serialize_text(synthetic_piece(*SYNTHETIC[0])), encoding="utf-8")
     outputs = {}
     cwd = os.getcwd()
     try:
         for stem, source, args in _cases():
             out = workdir / f"out-{stem}"
-            os.chdir(workdir if source.startswith("synthetic_") else FIXTURES)
-            code = main([*args, "--out", str(out)])
+            os.chdir(workdir if source.startswith(GENERATED) else FIXTURES)
+            with warnings.catch_warnings():
+                # each MIDI track ends on an unmatched note-on by design
+                warnings.filterwarnings("ignore", "unmatched note-on")
+                code = main([*args, "--out", str(out)])
             if code != 0:
                 raise RuntimeError(f"{stem}: exit {code}")
             outputs[stem] = out.read_bytes()

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from arcform import (AnalysisError, MidiError, NoteEvent, NotesParseError,
                      Part, Piece, import_midi, parse_text, serialize_text,
                      skyline)
 
-from oracles import midi_file
+from oracles import midi_file, oracle_import_midi
 
 
 # --- text format ------------------------------------------------------------
@@ -186,6 +187,50 @@ def test_midi_event_length_past_track_end_rejected(message):
                        (0, message)]])
     with pytest.raises(MidiError, match="past the end"):
         import_midi(data)
+
+
+@st.composite
+def smf_files(draw):
+    """Well-formed SMFs dense in what the reader must order right: a few
+    channels and pitches, so notes of one (channel, pitch) overlap and
+    several notes share an onset and a pitch; velocity-0 note-offs,
+    running status, meta events and unmatched note-ons."""
+    division = draw(st.sampled_from([1, 3, 96, 480, 1000]))
+    fmt = draw(st.sampled_from([0, 1]))
+    messages = st.tuples(st.just(0) | st.integers(0, 3 * division),
+                         st.sampled_from([0x80, 0x90, 0x90, 0xFF]),
+                         st.integers(0, 2), st.integers(58, 62),
+                         st.integers(0, 127), st.booleans())
+    tracks = []
+    for _ in range(1 if fmt == 0 else draw(st.integers(1, 3))):
+        track, status = [], None
+        for delta, kind, channel, pitch, velocity, running in draw(
+                st.lists(messages, max_size=40)):
+            if kind == 0xFF:
+                message, status = [0xFF, 0x01, 0x00], None
+            elif (kind | channel) == status and running:
+                message = [pitch, velocity]
+            else:
+                status = kind | channel
+                message = [status, pitch, velocity]
+            track.append((delta, message))
+        tracks.append(track)
+    return midi_file(tracks, division=division, fmt=fmt)
+
+
+@given(smf_files())
+def test_import_midi_matches_note_by_note_reader(data):
+    def read(importer):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            piece = importer(data)
+        return piece, [str(w.message) for w in caught]
+
+    piece, warned = read(import_midi)
+    expected, expected_warned = read(oracle_import_midi)
+    # equal Parts hold equal events in the same order
+    assert piece == expected
+    assert warned == expected_warned
 
 
 def test_midi_smpte_division_rejected():
