@@ -36,28 +36,21 @@ class ClimaxProfile:
     pre_mass_fraction: float
 
 
-def _ticks(x: Fraction, scale: int) -> int:
-    """x beats as a whole number of 1/scale-beat ticks (scale is a
-    multiple of x's denominator)."""
-    return x.numerator * (scale // x.denominator)
-
-
-def _prefix_integrals(events: Sequence[NoteEvent], scale: int):
+def _prefix_integrals(events: Sequence[NoteEvent], onsets: Sequence[int],
+                      ends: Sequence[int]):
     """Exact running integrals of the three step functions over time.
 
-    Returns the sorted event boundaries in ticks and, per boundary, the
-    integrals of sum-of-pitch, sum-of-velocity and sounding-note count
-    from the first boundary up to it, plus the three step values just
-    after it.
+    `onsets` and `ends` are the events' boundaries in ticks. Returns the
+    sorted boundaries and, per boundary, the integrals of sum-of-pitch,
+    sum-of-velocity and sounding-note count from the first boundary up to
+    it, plus the three step values just after it.
     """
     deltas: Dict[int, List[int]] = {}
-    for e in events:
-        on_tick = _ticks(e.onset, scale)
+    for e, on_tick, off_tick in zip(events, onsets, ends):
         on = deltas.setdefault(on_tick, [0, 0, 0])
         on[0] += e.pitch
         on[1] += e.velocity
         on[2] += 1
-        off_tick = on_tick + _ticks(e.duration, scale)
         off = deltas.setdefault(off_tick, [0, 0, 0])
         off[0] -= e.pitch
         off[1] -= e.velocity
@@ -116,43 +109,44 @@ def salience_curve(piece: Piece,
 
     # evenly spaced grid including both endpoints, spacing <= window/2;
     # mirror-symmetric so time reversal maps grid points to grid points
-    step = window / 2
-    n_steps = max(1, -(-total // step))  # ceil
-    times = [total * k / n_steps for k in range(int(n_steps) + 1)]
+    half = window / 2
+    n_steps = max(1, -(-total // half))  # ceil
+
+    # The piece's ticks times `up` make every window edge and grid point
+    # a whole tick too, so all integrals are exact integers. Masses in
+    # ticks are the masses in beats times the scale; their ratios are
+    # equal, and an int / int ratio is the correctly rounded float of
+    # the same rational that the Fraction would give.
+    scale, onsets, ends = piece.timeline
+    up = lcm(half.denominator, n_steps)
+    onsets = [t * up for t in onsets]
+    bounds, rows = _prefix_integrals(events, onsets, [t * up for t in ends])
+    onsets.sort()
+    half_ticks = half.numerator * (scale * up // half.denominator)
+    end_ticks = max(ends)
+    total_ticks = end_ticks * up
+    times = [Fraction(end_ticks * k, scale * n_steps)
+             for k in range(n_steps + 1)]
 
     pmin = min(e.pitch for e in events)
     pmax = max(e.pitch for e in events)
-    half = window / 2
-
-    # A tick of 1/scale beat makes every event boundary and every window
-    # edge a whole tick, so all integrals are exact integers. Masses in
-    # ticks are the masses in beats times scale; their ratios are equal.
-    scale = lcm(half.denominator, (total / n_steps).denominator,
-                *{e.onset.denominator for e in events},
-                *{e.duration.denominator for e in events})
-    bounds, rows = _prefix_integrals(events, scale)
-    onsets = sorted(_ticks(e.onset, scale) for e in events)
-    half_ticks = _ticks(half, scale)
-    total_ticks = _ticks(total, scale)
-
     pitch_comp: list[float] = []
     vel_comp: list[float] = []
     counts: list[int] = []
-    for t in times:
-        mid = _ticks(t, scale)
+    for k in range(n_steps + 1):
+        mid = total_ticks * k // n_steps
         lo = max(0, mid - half_ticks)
         hi = min(total_ticks, mid + half_ticks)
         p_lo, v_lo, n_lo = _integrals_at(bounds, rows, lo)
         p_hi, v_hi, n_hi = _integrals_at(bounds, rows, hi)
         overlap_total = n_hi - n_lo
         if overlap_total > 0:
-            mean_pitch = Fraction(p_hi - p_lo, overlap_total)
             if pmax > pmin:
-                pitch_comp.append(float((mean_pitch - pmin) / (pmax - pmin)))
+                pitch_comp.append((p_hi - p_lo - pmin * overlap_total)
+                                  / (overlap_total * (pmax - pmin)))
             else:
                 pitch_comp.append(0.5)
-            mean_vel = Fraction(v_hi - v_lo, overlap_total)
-            vel_comp.append(float(mean_vel) / 127.0)
+            vel_comp.append((v_hi - v_lo) / overlap_total / 127.0)
         else:
             pitch_comp.append(0.0)
             vel_comp.append(0.0)

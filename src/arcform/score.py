@@ -11,7 +11,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Tuple
+from math import lcm
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from .errors import AnalysisError, MidiError, NotesParseError
 
@@ -67,11 +69,18 @@ class NoteEvent:
     voice: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "onset", Fraction(self.onset))
-        object.__setattr__(self, "duration", Fraction(self.duration))
-        if self.duration <= 0:
+        # a Fraction's denominator is positive, so its sign is the
+        # numerator's; only other types (subclasses too) are converted
+        onset, duration = self.onset, self.duration
+        if type(onset) is not Fraction:
+            onset = Fraction(onset)
+            object.__setattr__(self, "onset", onset)
+        if type(duration) is not Fraction:
+            duration = Fraction(duration)
+            object.__setattr__(self, "duration", duration)
+        if duration.numerator <= 0:
             raise ValueError("non-positive duration")
-        if self.onset < 0:
+        if onset.numerator < 0:
             raise ValueError("negative onset")
         if not 0 <= self.pitch <= 127:
             raise ValueError("pitch out of range")
@@ -85,13 +94,16 @@ class NoteEvent:
 
 @dataclass(frozen=True)
 class Part:
-    """One voice: events kept sorted by (onset, pitch)."""
+    """One voice: events kept sorted, stably, by (onset, pitch)."""
 
     voice: int = 0
     events: Tuple[NoteEvent, ...] = ()
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.events, key=lambda e: (e.onset, e.pitch)))
+        # int / int is correctly rounded, so the float key is monotone in
+        # the onset and only float ties compare Fractions
+        ordered = tuple(sorted(self.events, key=lambda e: (
+            e.onset.numerator / e.onset.denominator, e.onset, e.pitch)))
         object.__setattr__(self, "events", ordered)
 
     def is_monophonic(self) -> bool:
@@ -115,20 +127,49 @@ class Piece:
                 raise ValueError(f"bad key {self.key!r}")
 
     @cached_property
+    def timeline(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+        """`(scale, onsets, ends)`: every event of `all_events()` in whole
+        ticks of 1/scale beat, where scale is the lcm of the onset and
+        duration denominators. Computed once per piece; exact, so any
+        order or difference of ticks is that of the beats."""
+        events = self.all_events()
+        onsets = [e.onset for e in events]
+        durations = [e.duration for e in events]
+        scale = lcm(*{x.denominator for x in onsets},
+                    *{x.denominator for x in durations})
+        on_ticks = tuple([x.numerator * (scale // x.denominator)
+                          for x in onsets])
+        end_ticks = tuple([on + x.numerator * (scale // x.denominator)
+                           for on, x in zip(on_ticks, durations)])
+        return scale, on_ticks, end_ticks
+
+    @cached_property
     def beats_total(self) -> Fraction:
         """Latest event end; computed once per piece."""
-        return max((e.onset + e.duration for p in self.parts for e in p.events),
-                   default=Fraction(0))
+        scale, _, ends = self.timeline
+        return Fraction(max(ends, default=0), scale)
 
     def all_events(self) -> Tuple[NoteEvent, ...]:
         return tuple(e for p in self.parts for e in p.events)
 
 
-def _parse_beat(token: str) -> Fraction:
-    if "/" in token:
-        num, den = token.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
+def _beats(ticks: List[int], scale: int) -> Dict[int, Fraction]:
+    """Each distinct tick count in beats of `scale` ticks, built once."""
+    return {t: Fraction(t, scale) for t in set(ticks)}
+
+
+def _parse_beat(token: str, memo: dict[str, Fraction]) -> Fraction:
+    """A beat token, memoised: durations repeat heavily, onsets repeat
+    across voices, and a Fraction is immutable, so events share them."""
+    value = memo.get(token)
+    if value is None:
+        if "/" in token:
+            num, den = token.split("/", 1)
+            value = Fraction(int(num), int(den))
+        else:
+            value = Fraction(int(token))
+        memo[token] = value
+    return value
 
 
 def parse_text(source: str) -> Piece:
@@ -136,6 +177,7 @@ def parse_text(source: str) -> Piece:
     key: Optional[Tuple[int, str]] = None
     title: Optional[str] = None
     events: list[NoteEvent] = []
+    beats: dict[str, Fraction] = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -165,8 +207,8 @@ def parse_text(source: str) -> Piece:
         if not 3 <= len(fields) <= 5:
             raise NotesParseError("wrong field count", lineno)
         try:
-            onset = _parse_beat(fields[0])
-            duration = _parse_beat(fields[1])
+            onset = _parse_beat(fields[0], beats)
+            duration = _parse_beat(fields[1], beats)
             pitch = int(fields[2])
             velocity = int(fields[3]) if len(fields) >= 4 else 64
             voice = int(fields[4]) if len(fields) >= 5 else 0
@@ -214,7 +256,9 @@ def _read_varlen(data: bytes, pos: int) -> Tuple[int, int]:
 
 
 def _track_events(chunk: bytes, division: int, voice: int) -> Tuple[NoteEvent, ...]:
-    events: list[NoteEvent] = []
+    """One MTrk chunk's notes, sorted by (onset, pitch); equal ones stay
+    in the order they closed."""
+    notes: list[Tuple[int, int, int, int]] = []  # start, pitch, length, vel
     open_notes: dict[Tuple[int, int], list[Tuple[int, int]]] = {}
     pos = 0
     tick = 0
@@ -226,14 +270,18 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Tuple[NoteEvent, .
             return
         start_tick, vel = stack.pop(0)
         if end_tick > start_tick:
-            events.append(NoteEvent(Fraction(start_tick, division),
-                                    Fraction(end_tick - start_tick, division),
-                                    pitch, max(1, vel), voice))
+            notes.append((start_tick, pitch, end_tick - start_tick,
+                          max(1, vel)))
 
-    while pos < len(chunk):
-        delta, pos = _read_varlen(chunk, pos)
-        tick += delta
-        if pos >= len(chunk):
+    size = len(chunk)
+    while pos < size:
+        if chunk[pos] < 0x80:  # one-byte delta, the common case
+            tick += chunk[pos]
+            pos += 1
+        else:
+            delta, pos = _read_varlen(chunk, pos)
+            tick += delta
+        if pos >= size:
             raise MidiError("truncated track event")
         byte = chunk[pos]
         if byte & 0x80:
@@ -243,11 +291,11 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Tuple[NoteEvent, .
             raise MidiError("data byte without running status")
         if status in (0xFF, 0xF0, 0xF7):
             if status == 0xFF:
-                if pos >= len(chunk):
+                if pos >= size:
                     raise MidiError("truncated meta event")
                 pos += 1  # meta type
             length, pos = _read_varlen(chunk, pos)
-            if pos + length > len(chunk):
+            if pos + length > size:
                 raise MidiError("meta or sysex event runs past the end of "
                                 "its track")
             pos += length
@@ -255,23 +303,27 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Tuple[NoteEvent, .
             kind = status & 0xF0
             channel = status & 0x0F
             ndata = 1 if kind in (0xC0, 0xD0) else 2
-            if pos + ndata > len(chunk):
+            if pos + ndata > size:
                 raise MidiError("truncated channel event")
-            data = chunk[pos:pos + ndata]
-            if max(data) & 0x80:
+            key = chunk[pos]
+            value = chunk[pos + 1] if ndata == 2 else 0
+            if (key | value) & 0x80:
                 raise MidiError("channel event data byte has the high bit set")
             pos += ndata
-            if kind == 0x90 and data[1] > 0:
-                open_notes.setdefault((channel, data[0]), []).append(
-                    (tick, data[1]))
-            elif kind == 0x80 or (kind == 0x90 and data[1] == 0):
-                close(channel, data[0], tick)
+            if kind == 0x90 and value > 0:
+                open_notes.setdefault((channel, key), []).append((tick, value))
+            elif kind in (0x80, 0x90):  # note-off, or note-on at velocity 0
+                close(channel, key, tick)
     for (channel, pitch), stack in open_notes.items():
         while stack:
             warnings.warn(f"unmatched note-on (pitch {pitch}) closed at "
                           f"track end", stacklevel=3)
             close(channel, pitch, tick)
-    return tuple(events)
+    # ticks stay ints until here: one Fraction per distinct tick count
+    notes.sort(key=itemgetter(0, 1))
+    beats = _beats([n[0] for n in notes] + [n[2] for n in notes], division)
+    return tuple(NoteEvent(beats[start], beats[length], pitch, vel, voice)
+                 for start, pitch, length, vel in notes)
 
 
 def import_midi(data: bytes) -> Piece:
@@ -316,21 +368,23 @@ def skyline(piece: Piece) -> Part:
     Tie at equal pitch goes to the earlier-starting event (then lower voice,
     then the first in `all_events()` order). One sweep over the sorted
     boundaries keeps the sounding events in a max-heap and drops those that
-    have ended only when they reach its top: O(n log n) for n events.
+    have ended only when they reach its top: O(n log n) for n events. The
+    sweep runs on the piece's integer ticks; only the output notes are
+    built as Fractions.
     """
     events = piece.all_events()
     if not events:
         raise AnalysisError("empty piece")
-    ends = [e.end for e in events]
-    boundaries = sorted(set(ends).union(e.onset for e in events))
-    by_onset = sorted(range(len(events)), key=lambda i: events[i].onset)
-    heap: list[Tuple[int, Fraction, int, int]] = []
+    scale, onsets, ends = piece.timeline
+    boundaries = sorted(set(onsets).union(ends))
+    by_onset = sorted(range(len(events)), key=onsets.__getitem__)
+    heap: list[Tuple[int, int, int, int]] = []
     pushed = 0
-    segments: list[Tuple[Fraction, Fraction, int]] = []
+    segments: list[Tuple[int, int, int]] = []
     for lo, hi in zip(boundaries, boundaries[1:]):
-        while pushed < len(by_onset) and events[by_onset[pushed]].onset <= lo:
+        while pushed < len(by_onset) and onsets[by_onset[pushed]] <= lo:
             i = by_onset[pushed]
-            heapq.heappush(heap, (-events[i].pitch, events[i].onset,
+            heapq.heappush(heap, (-events[i].pitch, onsets[i],
                                   events[i].voice, i))
             pushed += 1
         while heap and ends[heap[0][3]] <= lo:
@@ -342,7 +396,9 @@ def skyline(piece: Piece) -> Part:
             segments[-1] = (segments[-1][0], hi, winner)
         else:
             segments.append((lo, hi, winner))
-    out = tuple(NoteEvent(lo, hi - lo, events[i].pitch, events[i].velocity,
-                          events[i].voice)
+    beats = _beats([lo for lo, _, _ in segments]
+                   + [hi - lo for lo, hi, _ in segments], scale)
+    out = tuple(NoteEvent(beats[lo], beats[hi - lo], events[i].pitch,
+                          events[i].velocity, events[i].voice)
                 for lo, hi, i in segments)
     return Part(voice=0, events=out)

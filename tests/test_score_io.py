@@ -101,6 +101,63 @@ def test_beats_total_is_max_event_end():
     assert Piece().beats_total == 0
 
 
+_rational = st.builds(Fraction, st.integers(0, 5000), st.integers(1, 97))
+
+
+@given(st.lists(st.lists(st.tuples(_rational, _rational.filter(bool)),
+                         max_size=8), max_size=4))
+def test_timeline_ticks_are_the_exact_beats(voices):
+    piece = Piece(parts=tuple(
+        Part(v, tuple(NoteEvent(on, dur, 60) for on, dur in notes))
+        for v, notes in enumerate(voices)))
+    events = piece.all_events()
+    scale, onsets, ends = piece.timeline
+    assert [Fraction(t, scale) for t in onsets] == [e.onset for e in events]
+    assert [Fraction(t, scale) for t in ends] == [e.end for e in events]
+    assert piece.beats_total == max((e.end for e in events), default=0)
+    assert type(piece.beats_total) is Fraction
+
+
+class _Beats(Fraction):
+    pass
+
+
+@pytest.mark.parametrize("value,exact", [
+    (3, Fraction(3)),
+    (0.375, Fraction(3, 8)),
+    ("7/3", Fraction(7, 3)),
+    (_Beats(5, 2), Fraction(5, 2)),
+    (Fraction(1, 96), Fraction(1, 96)),
+])
+def test_note_event_stores_exact_fractions(value, exact):
+    ev = NoteEvent(value, value, 60)
+    for stored in (ev.onset, ev.duration):
+        assert type(stored) is Fraction
+        assert stored == exact
+
+
+@pytest.mark.parametrize("onset,duration,message", [
+    (Fraction(-1, 3), Fraction(1), "negative onset"),
+    (Fraction(0), Fraction(0), "non-positive duration"),
+    (Fraction(1), Fraction(-1, 7), "non-positive duration"),
+    (-1, 0, "non-positive duration"),
+])
+def test_note_event_sign_checks(onset, duration, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        NoteEvent(onset, duration, 60)
+
+
+def test_part_orders_onsets_that_round_to_one_float():
+    third = Fraction(1, 3)
+    later = third + Fraction(1, 10 ** 30)
+    assert float(later) == float(third)
+    events = (NoteEvent(later, 1, 50), NoteEvent(third, 1, 70),
+              NoteEvent(third, 1, 60), NoteEvent(later, 1, 40, 9),
+              NoteEvent(later, 1, 40, 8))
+    assert Part(0, events).events == (events[2], events[1], events[3],
+                                      events[4], events[0])
+
+
 # --- MIDI import ------------------------------------------------------------
 
 def test_midi_single_quarter_note():
