@@ -8,6 +8,7 @@ tempo scaling.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -186,6 +187,9 @@ def find_recurrences(piece: Piece, query: Part,
             continue
         line = skyline(Piece(parts=(part,)))
         notes = line.events
+        # each part's notes in ticks of its own scale: candidates compare
+        # times only within one voice
+        _, onsets, ends = Piece(parts=(line,)).timeline
         prof = interval_profile(line)
         ratios = [ratio_ids.setdefault(r, len(ratio_ids))
                   for r in prof.ratios]
@@ -202,17 +206,25 @@ def find_recurrences(piece: Piece, query: Part,
                 if sim is None:
                     sim = scores[key] = _score(*key, *exact_weights)
                 if sim >= threshold:
-                    candidates.append((sim, part.voice, notes[start].onset,
-                                       notes[start + length - 1].end))
+                    last = start + length - 1
+                    candidates.append((sim, part.voice, onsets[start],
+                                       ends[last], notes[start], notes[last]))
 
+    # greedy by descending similarity; a candidate overlapping a chosen
+    # one in the same part is dropped. The chosen spans of one part are
+    # disjoint, so sorted by start they are sorted by end too, and only
+    # the last one starting before a candidate ends can overlap it.
     candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
+    spans: Dict[int, Tuple[List[int], List[int]]] = {}
     chosen: list[Tuple[float, int, Fraction, Fraction]] = []
-    for cand in candidates:
-        _, voice, start, end = cand
-        if any(v == voice and start < e and s < end
-               for _, v, s, e in chosen):
+    for sim, voice, start, end, first, last in candidates:
+        starts, stops = spans.setdefault(voice, ([], []))
+        k = bisect_left(starts, end)
+        if k and stops[k - 1] > start:
             continue
-        chosen.append(cand)
+        starts.insert(k, start)
+        stops.insert(k, end)
+        chosen.append((sim, voice, first.onset, last.end))
     chosen.sort(key=lambda c: (c[2], c[1]))
 
     matches = tuple(RecurrenceMatch(i, voice, start, end, sim)
