@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 from fractions import Fraction
@@ -86,7 +87,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         sections["recurrence"] = find_recurrences(
             piece, query, config.threshold, config.similarity_weights)
     if getattr(args, "form", None):
-        form = sections["form"] = _form_section(args.form, args.seed or "AB")
+        form = sections["form"] = _form_section(args.form, args.seed)
         steps = form["minimal_steps"]
         if steps != "not derivable":
             # A and B at unit length: the grammar's prediction, not a
@@ -158,7 +159,10 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="arcform",
         description="Temporal-structure analysis of symbolic music: "

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from arcform.cli import main
 from arcform.config import AnalysisConfig
 from oracles import midi_file
 
@@ -65,6 +66,43 @@ def test_analyze_form_over_step_bound_exit_2(fixtures_dir):
     assert "over the 32-step bound" in res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "fixture_fig1.notes", "--form", "AAB"],
+    ["form", "recognize", "AAB"],
+])
+def test_empty_seed_is_refused_exit_2(fixtures_dir, command):
+    command = [fixtures_dir / arg if arg.endswith(".notes") else arg
+               for arg in command]
+    res = run_cli(*command, "--seed", "")
+    assert res.returncode == 2
+    assert res.stderr == "error: empty form\n"
+    assert res.stdout == ""
+
+
+def test_main_twice_in_one_process(fixtures_dir, tmp_path, monkeypatch):
+    """The parser is built once per process; one call's flags must not
+    leak into the next call's defaults."""
+    monkeypatch.chdir(fixtures_dir)
+    calls = [
+        ["analyze", "fixture_fig1.notes", "--form", "AABA", "--seed", "ABA",
+         "--window", "2"],
+        ["form", "recognize", "AAB", "--json"],
+        ["analyze", "fixture_fig1.notes", "--form", "AAB"],
+        ["form", "recognize", "AABA", "--seed", "ABA", "--json"],
+    ]
+    outputs = []
+    for i, args in enumerate(calls + calls):
+        out = tmp_path / f"{i}.out"
+        assert main([*args, "--out", str(out)]) == 0
+        outputs.append(json.loads(out.read_text(encoding="utf-8")))
+    assert outputs[:4] == outputs[4:]
+    first, recognized, analyzed, _ = outputs[:4]
+    assert first["form"]["seed"] == "ABA" and first["config"]["window"] == "2"
+    assert recognized == {"form": "AAB", "seed": "AB", "minimal_steps": 1}
+    assert analyzed["form"]["seed"] == "AB"
+    assert analyzed["config"]["window"] == str(AnalysisConfig().window)
 
 
 def test_analyze_deterministic_bytes(fixtures_dir):
