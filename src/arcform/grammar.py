@@ -1,16 +1,17 @@
 """Left-replication form grammar: AB -> AAB, generation and recognition.
 
 A form tree is either a Leaf (one uppercase letter) or a Node with at
-least two ordered children. The core rewrite duplicates a node's first
-child in place; the mirrored rule (last child appended) exists only so
-the asymmetry of the two languages can be checked.
+least two ordered children, nested at most MAX_TREE_DEPTH levels. The
+core rewrite duplicates a node's first child in place; the mirrored rule
+(last child appended) exists only so the asymmetry of the two languages
+can be checked. Forward searches stop at MAX_DERIVATION_STEPS rewrites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from .errors import GrammarError
 
@@ -37,14 +38,19 @@ __all__ = [
     "sonata_alignment",
     "time_reverse",
     "MAX_DERIVATION_STEPS",
+    "MAX_TREE_DEPTH",
 ]
 
 MAX_DERIVATION_STEPS = 32
+# Deep enough for any real form, shallow enough that every recursive
+# walk over a tree stays far from Python's recursion limit.
+MAX_TREE_DEPTH = 64
 
 
 @dataclass(frozen=True)
 class Leaf:
     label: str
+    depth = 0  # a class attribute, not a field: leaves add no level
 
     def __post_init__(self):
         if len(self.label) != 1 or not self.label.isupper():
@@ -55,11 +61,17 @@ class Leaf:
 @dataclass(frozen=True)
 class Node:
     children: Tuple["FormTree", ...]
+    depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
         if len(self.children) < 2:
             raise GrammarError("node needs at least two children")
+        depth = 1 + max(c.depth for c in self.children)
+        if depth > MAX_TREE_DEPTH:
+            raise GrammarError(
+                f"tree nested deeper than {MAX_TREE_DEPTH} levels")
+        object.__setattr__(self, "depth", depth)
 
 
 FormTree = Union[Leaf, Node]
@@ -73,12 +85,16 @@ class Derivation:
     result: FormTree
 
 
-def parse_form(form: str) -> FormTree:
-    """Flat string like "AAB" to a tree (single letter becomes a Leaf)."""
+def _check_form(form: str) -> None:
     if not form:
         raise GrammarError("empty form")
     if not form.isalpha() or not form.isupper():
         raise GrammarError(f"form must be uppercase letters, got {form!r}")
+
+
+def parse_form(form: str) -> FormTree:
+    """Flat string like "AAB" to a tree (single letter becomes a Leaf)."""
+    _check_form(form)
     if len(form) == 1:
         return Leaf(form)
     return Node(tuple(Leaf(c) for c in form))
@@ -87,28 +103,25 @@ def parse_form(form: str) -> FormTree:
 def parse_tree(text: str) -> FormTree:
     """Parse the nested-parentheses serialization, e.g. "((A A B) A)"."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-
-    def parse(pos: int) -> Tuple[FormTree, int]:
-        if pos >= len(tokens):
-            raise GrammarError("unexpected end of tree text")
-        tok = tokens[pos]
+    if not tokens:
+        raise GrammarError("unexpected end of tree text")
+    open_nodes: List[List[FormTree]] = []  # children read so far, per "("
+    for pos, tok in enumerate(tokens):
         if tok == "(":
-            children = []
-            pos += 1
-            while pos < len(tokens) and tokens[pos] != ")":
-                child, pos = parse(pos)
-                children.append(child)
-            if pos >= len(tokens):
-                raise GrammarError("unbalanced parentheses")
-            return Node(tuple(children)), pos + 1
-        if tok == ")":
+            open_nodes.append([])
+            continue
+        if tok != ")":
+            tree = Leaf(tok)
+        elif open_nodes:
+            tree = Node(tuple(open_nodes.pop()))
+        else:
             raise GrammarError("unexpected ')'")
-        return Leaf(tok), pos + 1
-
-    tree, pos = parse(0)
-    if pos != len(tokens):
-        raise GrammarError("trailing tokens after tree")
-    return tree
+        if not open_nodes:
+            if pos + 1 != len(tokens):
+                raise GrammarError("trailing tokens after tree")
+            return tree
+        open_nodes[-1].append(tree)
+    raise GrammarError("unbalanced parentheses")
 
 
 def tree_to_str(tree: FormTree) -> str:
@@ -131,93 +144,70 @@ def node_paths(tree: FormTree, prefix: Path = ()) -> Iterator[Path]:
             yield from node_paths(child, prefix + (i,))
 
 
-def _subtree(tree: FormTree, path: Path) -> FormTree:
-    for i in path:
-        if isinstance(tree, Leaf) or not 0 <= i < len(tree.children):
-            raise GrammarError(f"path {path} out of range")
-        tree = tree.children[i]
-    return tree
-
-
-def _rebuild(tree: FormTree, path: Path, replacement: FormTree) -> FormTree:
-    if not path:
-        return replacement
-    if isinstance(tree, Leaf):
-        raise GrammarError(f"path {path} descends into a leaf")
-    i = path[0]
-    if not 0 <= i < len(tree.children):
-        raise GrammarError(f"path {path} out of range")
-    children = list(tree.children)
-    children[i] = _rebuild(children[i], path[1:], replacement)
-    return Node(tuple(children))
-
-
 def left_replicate(tree: FormTree, path: Path = (), child: int = 0) -> FormTree:
     """Duplicate the addressed node's child in place (default: the first).
 
-    The default child=0 is the canonical rule AB -> AAB; other indices
-    are a generalization kept out of the core language results.
+    The default child=0 is the canonical rule AB -> AAB; other indices,
+    negative ones counted from the end, are a generalization kept out of
+    the core language results.
     """
-    target = _subtree(tree, path)
-    if isinstance(target, Leaf):
+    ancestors = []
+    node = tree
+    for i in path:
+        if isinstance(node, Leaf) or not 0 <= i < len(node.children):
+            raise GrammarError(f"path {path} out of range")
+        ancestors.append(node)
+        node = node.children[i]
+    if isinstance(node, Leaf):
         raise GrammarError("cannot replicate inside a leaf")
-    if not 0 <= child < len(target.children):
+    n = len(node.children)
+    if not -n <= child < n:
         raise GrammarError(f"child index {child} out of range")
-    children = (target.children[:child + 1]
-                + (target.children[child],)
-                + target.children[child + 1:])
-    return _rebuild(tree, path, Node(children))
+    k = child % n
+    rebuilt = Node(node.children[:k + 1] + node.children[k:])
+    for parent, i in zip(reversed(ancestors), reversed(path)):
+        rebuilt = Node(parent.children[:i] + (rebuilt,) + parent.children[i + 1:])
+    return rebuilt
 
 
 def right_replicate(tree: FormTree, path: Path = ()) -> FormTree:
     """Mirror rule: append a copy of the last child (AB -> ABB)."""
-    target = _subtree(tree, path)
-    if isinstance(target, Leaf):
-        raise GrammarError("cannot replicate inside a leaf")
-    return _rebuild(tree, path,
-                    Node(target.children + (target.children[-1],)))
+    return left_replicate(tree, path, child=-1)
 
 
-def _successors(tree: FormTree, rule=left_replicate) -> Iterator[Tuple[Path, FormTree]]:
-    for path in node_paths(tree):
-        yield path, rule(tree, path)
+def _reach(seed: FormTree, max_steps: int,
+           rule=left_replicate) -> Dict[FormTree, Tuple[Path, ...]]:
+    """Breadth-first search: every tree reachable from the seed in at most
+    max_steps rewrites, in discovery order, with the rewrite paths of the
+    first (shortest) way it was found."""
+    if not 0 <= max_steps <= MAX_DERIVATION_STEPS:
+        raise GrammarError(f"max_steps must be in 0..{MAX_DERIVATION_STEPS}, "
+                           f"got {max_steps}")
+    reached = {seed: ()}
+    frontier = [seed]
+    for _ in range(max_steps):
+        nxt = []
+        for tree in frontier:
+            steps = reached[tree]
+            for path in node_paths(tree):
+                successor = rule(tree, path)
+                if successor not in reached:
+                    reached[successor] = steps + (path,)
+                    nxt.append(successor)
+        frontier = nxt
+    return reached
 
 
 def generate(seed: FormTree, max_steps: int,
              rule=left_replicate) -> FrozenSet[FormTree]:
     """All trees reachable from the seed in at most max_steps rewrites."""
-    if max_steps < 0:
-        raise GrammarError("max_steps must be nonnegative")
-    seen = {seed}
-    frontier = [seed]
-    for _ in range(max_steps):
-        nxt = []
-        for tree in frontier:
-            for _, successor in _successors(tree, rule):
-                if successor not in seen:
-                    seen.add(successor)
-                    nxt.append(successor)
-        frontier = nxt
-    return frozenset(seen)
+    return frozenset(_reach(seed, max_steps, rule))
 
 
 def derivations(seed: FormTree, max_steps: int) -> Dict[FormTree, Derivation]:
     """Shortest left-replication derivation for every reachable tree."""
-    if max_steps < 0:
-        raise GrammarError("max_steps must be nonnegative")
-    out = {seed: Derivation(seed, (), seed)}
-    frontier = [seed]
-    for _ in range(max_steps):
-        nxt = []
-        for tree in frontier:
-            base = out[tree]
-            for path, successor in _successors(tree):
-                if successor not in out:
-                    out[successor] = Derivation(
-                        seed, base.steps + (path,), successor)
-                    nxt.append(successor)
-        frontier = nxt
-    return out
+    return {tree: Derivation(seed, steps, tree)
+            for tree, steps in _reach(seed, max_steps).items()}
 
 
 def replay(derivation: Derivation) -> FormTree:
@@ -234,10 +224,7 @@ def recognize(form: str, seed: FormTree,
     Returns None when the form is not derivable. Inverse rewriting: strip
     one duplicated leading segment per step.
     """
-    if not form:
-        raise GrammarError("empty form")
-    if not form.isalpha() or not form.isupper():
-        raise GrammarError(f"form must be uppercase letters, got {form!r}")
+    _check_form(form)
     base = flatten(seed)
     head = flatten(seed.children[0]) if isinstance(seed, Node) else None
     count = 0

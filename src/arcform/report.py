@@ -8,7 +8,7 @@ byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Dict, Optional
 
@@ -37,18 +37,9 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     if is_dataclass(value) and not isinstance(value, type):
-        return jsonable(asdict(value))
+        return {f.name: jsonable(getattr(value, f.name))
+                for f in fields(value)}
     return value
-
-
-def _climax_dict(profile: ClimaxProfile) -> Dict[str, Any]:
-    return {
-        "peak_time": profile.peak_time,
-        "normalized_position": profile.normalized_position,
-        "asymmetry_index": profile.asymmetry_index,
-        "pre_mass_fraction": profile.pre_mass_fraction,
-        "curve": [[t, s] for t, s in profile.curve],
-    }
 
 
 def _recurrence_dict(series: RecurrenceSeries) -> Dict[str, Any]:
@@ -86,7 +77,7 @@ def build_report(piece: Piece, source: str, config: AnalysisConfig,
         "config": config,
     }
     if climax is not None:
-        report["climax"] = _climax_dict(climax)
+        report["climax"] = climax
     if recurrence is not None:
         report["recurrence"] = _recurrence_dict(recurrence)
     if form is not None:

@@ -6,8 +6,8 @@ string rewriting instead of tree rewriting, a per-window sum over every
 event instead of prefix integrals, a scan of every event at every
 boundary instead of a heap sweep, every recurrence window scored from
 scratch instead of one pass per window start, a MIDI reader that builds
-each note's `Fraction`s as it closes, and a from-scratch MIDI byte
-writer.
+each note's `Fraction`s as it closes, a recursive-descent tree parser
+instead of an explicit stack, and a from-scratch MIDI byte writer.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Set, Tuple
 
+from arcform.errors import GrammarError
+from arcform.grammar import FormTree, Leaf, Node
 from arcform.recurrence import IntervalProfile, RecurrenceMatch, RecurrenceSeries
 from arcform.score import NoteEvent, Part, Piece
 
@@ -67,6 +69,33 @@ def right_language(seed: str, depth: int) -> Set[str]:
         frontier = {s + s[-1] for s in frontier} - seen
         seen |= frontier
     return seen
+
+
+def oracle_parse_tree(text: str) -> FormTree:
+    """The nested-parentheses tree parser, one recursion per level."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+
+    def parse(pos: int) -> Tuple[FormTree, int]:
+        if pos >= len(tokens):
+            raise GrammarError("unexpected end of tree text")
+        tok = tokens[pos]
+        if tok == "(":
+            children = []
+            pos += 1
+            while pos < len(tokens) and tokens[pos] != ")":
+                child, pos = parse(pos)
+                children.append(child)
+            if pos >= len(tokens):
+                raise GrammarError("unbalanced parentheses")
+            return Node(tuple(children)), pos + 1
+        if tok == ")":
+            raise GrammarError("unexpected ')'")
+        return Leaf(tok), pos + 1
+
+    tree, pos = parse(0)
+    if pos != len(tokens):
+        raise GrammarError("trailing tokens after tree")
+    return tree
 
 
 def oracle_salience_curve(piece, weights, window):

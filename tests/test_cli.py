@@ -283,6 +283,16 @@ def test_form_generate():
     assert res.stdout.strip() == "AB AAB AAAB"
 
 
+def test_form_generate_step_bound(capsys):
+    assert main(["form", "generate", "--steps", "32"]) == 0
+    strings = capsys.readouterr().out.split()
+    assert len(strings) == 33 and strings[-1] == "A" * 33 + "B"
+    res = run_cli("form", "generate", "--steps", "33")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == "error: max_steps must be in 0..32, got 33\n"
+
+
 def test_form_recognize_derivable():
     res = run_cli("form", "recognize", "AABA", "--seed", "ABA")
     assert res.returncode == 0

@@ -2,19 +2,34 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from arcform import (GrammarError, Leaf, Node, flatten, generate,
+from arcform import (Derivation, GrammarError, Leaf, Node, flatten, generate,
                      left_replicate, parse_form, parse_tree,
                      predicted_climax_position, recognize, recognize_tree,
                      right_replicate, sentence_check, sonata_alignment,
                      time_reverse, tree_to_str)
-from arcform.grammar import derivations, replay
+from arcform.grammar import (MAX_DERIVATION_STEPS, MAX_TREE_DEPTH,
+                             derivations, node_paths, replay)
 
-from oracles import left_language, right_language
+from oracles import left_language, oracle_parse_tree, right_language
 
 AB = parse_form("AB")
 ABA = parse_form("ABA")
+NESTED = parse_tree("((A B) (C D E) F)")
+
+
+def nested_text(depth: int) -> str:
+    """A tree `depth` levels deep: "(A B B)" wrapped as "(... B)"."""
+    return "(" * depth + "A B" + " B)" * depth
+
+
+def parse_outcome(parse, text):
+    """The parsed tree, or the GrammarError message."""
+    try:
+        return parse(text)
+    except GrammarError as exc:
+        return str(exc)
 
 
 # --- trees and the rewrite ----------------------------------------------------
@@ -33,6 +48,68 @@ def test_tree_serialization_round_trip():
     assert tree_to_str(tree) == "((A A B) A)"
     assert parse_tree("((A A B) A)") == tree
     assert flatten(tree) == "AABA"
+
+
+tree_texts = st.recursive(
+    st.sampled_from("AB").map(Leaf),
+    lambda kids: st.lists(kids, min_size=2, max_size=3).map(
+        lambda children: Node(tuple(children))),
+    max_leaves=8).map(tree_to_str)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(alphabet="()ABa ", max_size=14), tree_texts))
+@example("((A A B) A)")
+@example("(A (B A) B)")
+@example("( A ) B")
+@example(") A")
+@example("")
+def test_parse_tree_agrees_with_recursive_oracle(text):
+    assert parse_outcome(parse_tree, text) == parse_outcome(oracle_parse_tree,
+                                                            text)
+
+
+def test_depth_is_not_part_of_equality_or_repr():
+    tree = Node((Leaf("A"), Leaf("B")))
+    assert tree.depth == 1 and Leaf("A").depth == 0
+    assert tree == AB and hash(tree) == hash(AB)
+    assert repr(tree) == "Node(children=(Leaf(label='A'), Leaf(label='B')))"
+    assert NESTED.depth == 2
+
+
+def test_trees_at_the_depth_bound_work_everywhere():
+    text = nested_text(MAX_TREE_DEPTH)
+    tree = parse_tree(text)
+    assert tree.depth == MAX_TREE_DEPTH
+    assert tree_to_str(tree) == text
+    assert parse_tree(tree_to_str(tree)) == tree
+    assert flatten(tree) == "AB" + "B" * MAX_TREE_DEPTH
+    paths = list(node_paths(tree))
+    deepest = (0,) * (MAX_TREE_DEPTH - 1)
+    assert len(paths) == MAX_TREE_DEPTH and paths[-1] == deepest
+    grown = left_replicate(tree, deepest)
+    assert flatten(grown) == "AAB" + "B" * MAX_TREE_DEPTH
+    assert grown.depth == MAX_TREE_DEPTH
+    assert recognize_tree(tree, tree) == Derivation(tree, (), tree)
+    assert recognize_tree(grown, tree).steps == (deepest,)
+
+
+@pytest.mark.parametrize("depth", [MAX_TREE_DEPTH + 1, 5000])
+def test_deeper_trees_raise_grammar_error(depth):
+    with pytest.raises(GrammarError,
+                       match=f"tree nested deeper than {MAX_TREE_DEPTH} levels"):
+        parse_tree(nested_text(depth))
+
+
+def test_hand_built_node_chain_one_level_too_deep():
+    tree = Leaf("A")
+    for _ in range(MAX_TREE_DEPTH):
+        tree = Node((tree, Leaf("B")))
+    assert tree.depth == MAX_TREE_DEPTH
+    with pytest.raises(GrammarError, match="deeper than"):
+        Node((tree, Leaf("B")))
+    with pytest.raises(GrammarError, match="deeper than"):
+        Node((Leaf("B"), Leaf("C"), tree))
 
 
 def test_left_replicate_root():
@@ -61,6 +138,21 @@ def test_right_replicate_mirror():
     assert flatten(right_replicate(AB)) == "ABB"
 
 
+@pytest.mark.parametrize("tree", [AB, ABA, parse_tree("((A B) C)"), NESTED])
+def test_last_child_replication_is_the_mirror_rule(tree):
+    for path in node_paths(tree):
+        assert left_replicate(tree, path, child=-1) == \
+            right_replicate(tree, path)
+
+
+def test_negative_child_indices_count_from_the_end():
+    assert left_replicate(AB, (), child=-2) == left_replicate(AB)
+    with pytest.raises(GrammarError, match="child index -3 out of range"):
+        left_replicate(AB, (), child=-3)
+    with pytest.raises(GrammarError, match="child index 2 out of range"):
+        left_replicate(AB, (), child=2)
+
+
 # --- generate -------------------------------------------------------------------
 
 def test_generate_zero_steps():
@@ -80,6 +172,16 @@ def test_generate_aba_one_step():
 def test_generate_negative_steps_rejected():
     with pytest.raises(GrammarError):
         generate(AB, -1)
+
+
+def test_forward_search_step_bound():
+    got = {flatten(t) for t in generate(AB, MAX_DERIVATION_STEPS)}
+    assert got == {"A" * n + "B" for n in range(1, MAX_DERIVATION_STEPS + 2)}
+    for search in (generate, derivations):
+        for steps in (-1, MAX_DERIVATION_STEPS + 1, 3000):
+            with pytest.raises(GrammarError,
+                               match=f"max_steps must be in 0..32, got {steps}"):
+                search(AB, steps)
 
 
 def test_flat_language_matches_bfs_oracle_to_depth_6():
@@ -103,6 +205,14 @@ def test_derivations_replay_soundness():
     for tree, derivation in derivations(seed, 3).items():
         assert replay(derivation) == tree
         assert len(derivation.steps) <= 3
+
+
+@pytest.mark.parametrize("seed", [ABA, parse_tree("((A B) C)"), NESTED])
+def test_derivations_are_minimal(seed):
+    found = derivations(seed, 4)
+    assert len(found) >= 5
+    for tree, derivation in found.items():
+        assert len(derivation.steps) == len(recognize_tree(tree, seed).steps)
 
 
 def test_recognize_tree_returns_replayable_derivation():
