@@ -15,14 +15,18 @@ from typing import Dict, List, Sequence, Tuple
 
 from .config import DEFAULTS, check_weights
 from .errors import AnalysisError
-from .score import NoteEvent, Piece
+from .score import Piece
 
 __all__ = [
     "ClimaxProfile",
+    "MAX_GRID_POINTS",
     "salience_curve",
     "locate_climax",
     "climax_profile",
 ]
+
+# a curve of more points is refused before any is computed
+MAX_GRID_POINTS = 100_000
 
 Curve = Tuple[Tuple[Fraction, float], ...]
 
@@ -36,24 +40,25 @@ class ClimaxProfile:
     pre_mass_fraction: float
 
 
-def _prefix_integrals(events: Sequence[NoteEvent], onsets: Sequence[int],
-                      ends: Sequence[int]):
+def _prefix_integrals(pitches: Sequence[int], velocities: Sequence[int],
+                      onsets: Sequence[int], ends: Sequence[int]):
     """Exact running integrals of the three step functions over time.
 
-    `onsets` and `ends` are the events' boundaries in ticks. Returns the
-    sorted boundaries and, per boundary, the integrals of sum-of-pitch,
-    sum-of-velocity and sounding-note count from the first boundary up to
-    it, plus the three step values just after it.
+    Entry i of each column is one note, with `onsets` and `ends` in
+    ticks. Returns the sorted boundaries and, per boundary, the integrals
+    of sum-of-pitch, sum-of-velocity and sounding-note count from the
+    first boundary up to it, plus the three step values just after it.
     """
     deltas: Dict[int, List[int]] = {}
-    for e, on_tick, off_tick in zip(events, onsets, ends):
+    for pitch, vel, on_tick, off_tick in zip(pitches, velocities, onsets,
+                                             ends):
         on = deltas.setdefault(on_tick, [0, 0, 0])
-        on[0] += e.pitch
-        on[1] += e.velocity
+        on[0] += pitch
+        on[1] += vel
         on[2] += 1
         off = deltas.setdefault(off_tick, [0, 0, 0])
-        off[0] -= e.pitch
-        off[1] -= e.velocity
+        off[0] -= pitch
+        off[1] -= vel
         off[2] -= 1
     bounds = sorted(deltas)
     rows = []
@@ -94,14 +99,15 @@ def salience_curve(piece: Piece,
     Windows are centered on the grid points and clipped to the piece.
     A window's pitch, velocity and overlap masses are differences of
     exact prefix integrals, and its onset count is two bisections, so
-    the curve costs O((events + grid points) log events).
+    the curve costs O((events + grid points) log events). A grid of more
+    than MAX_GRID_POINTS points is refused.
     """
     check_weights(weights, 3)
     window = Fraction(window)
     if window <= 0:
         raise AnalysisError("window must be positive")
-    events = piece.all_events()
-    if not events:
+    scale, onsets, ends = piece.timeline
+    if not onsets:
         raise AnalysisError("empty piece")
     total = piece.beats_total
     if total <= 0:
@@ -111,16 +117,22 @@ def salience_curve(piece: Piece,
     # mirror-symmetric so time reversal maps grid points to grid points
     half = window / 2
     n_steps = max(1, -(-total // half))  # ceil
+    if n_steps + 1 > MAX_GRID_POINTS:
+        raise AnalysisError(
+            f"window {window} gives {n_steps + 1} grid points over "
+            f"{total} beats, more than {MAX_GRID_POINTS}; use a wider "
+            f"--window")
 
     # The piece's ticks times `up` make every window edge and grid point
     # a whole tick too, so all integrals are exact integers. Masses in
     # ticks are the masses in beats times the scale; their ratios are
     # equal, and an int / int ratio is the correctly rounded float of
     # the same rational that the Fraction would give.
-    scale, onsets, ends = piece.timeline
     up = lcm(half.denominator, n_steps)
+    pitches = piece.column("pitches")
     onsets = [t * up for t in onsets]
-    bounds, rows = _prefix_integrals(events, onsets, [t * up for t in ends])
+    bounds, rows = _prefix_integrals(pitches, piece.column("velocities"),
+                                     onsets, [t * up for t in ends])
     onsets.sort()
     half_ticks = half.numerator * (scale * up // half.denominator)
     end_ticks = max(ends)
@@ -128,8 +140,8 @@ def salience_curve(piece: Piece,
     times = [Fraction(end_ticks * k, scale * n_steps)
              for k in range(n_steps + 1)]
 
-    pmin = min(e.pitch for e in events)
-    pmax = max(e.pitch for e in events)
+    pmin = min(pitches)
+    pmax = max(pitches)
     pitch_comp: list[float] = []
     vel_comp: list[float] = []
     counts: list[int] = []
@@ -154,10 +166,11 @@ def salience_curve(piece: Piece,
 
     max_count = max(counts) if max(counts) > 0 else 1
     w_pitch, w_density, w_velocity = weights
-    curve = tuple(
+    # a list first: `tuple()` of a generator resizes its result, which
+    # shifts short curves between CPython's per-size tuple free lists
+    return tuple([
         (t, w_pitch * pc + w_density * (c / max_count) + w_velocity * vc)
-        for t, pc, vc, c in zip(times, pitch_comp, vel_comp, counts))
-    return curve
+        for t, pc, vc, c in zip(times, pitch_comp, vel_comp, counts)])
 
 
 def locate_climax(curve: Curve) -> ClimaxProfile:

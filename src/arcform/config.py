@@ -61,10 +61,15 @@ def parse_setting(key: str, value: str, where: str) -> object:
     """Parse one setting from text, for a config file line or a flag.
 
     Raises ArcformError naming `where` (e.g. "a.cfg:3" or "--window")
-    for an unknown key or a value that does not parse.
+    for an unknown key or a value that does not parse. A window is an
+    integer, decimal or fraction without an exponent.
     """
     try:
         if key == "window":
+            # Fraction expands a decimal exponent in full, in time that
+            # grows faster than the exponent, so none is accepted
+            if "e" in value or "E" in value:
+                raise ValueError("exponent in window")
             return Fraction(value)
         if key in _FLOAT_KEYS:
             return float(value)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import sub
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .config import DEFAULTS, check_weights
@@ -72,14 +74,15 @@ class RecurrenceSeries:
 
 def interval_profile(melody: Part) -> IntervalProfile:
     """Semitone steps and duration ratios between consecutive notes."""
-    if not melody.events:
+    if not len(melody):
         raise AnalysisError("empty melody")
     if not melody.is_monophonic():
         raise AnalysisError("polyphonic input")
-    ev = melody.events
-    steps = tuple(b.pitch - a.pitch for a, b in zip(ev, ev[1:]))
-    ratios = tuple(b.duration / a.duration for a, b in zip(ev, ev[1:]))
-    return IntervalProfile(steps, ratios)
+    pitches, durations = melody.pitches, melody.durations
+    # lists first, so each tuple is allocated at its size (see Part._fill)
+    return IntervalProfile(tuple(list(map(sub, pitches[1:], pitches))),
+                           tuple(list(map(Fraction, durations[1:],
+                                          durations))))
 
 
 def _pattern_masks(pattern: Sequence[Hashable]) -> Dict[Hashable, int]:
@@ -122,15 +125,24 @@ def _prefix_distances(pattern_len: int, masks: Dict[Hashable, int],
     return out
 
 
-def _score(d_steps: int, d_ratios: int, denom: int,
-           w_pitch: Fraction, w_rhythm: Fraction) -> float:
-    """1 minus the weighted distance over denom, clamped to [0, 1].
+def _weight_ticks(weights: Tuple[float, float]) -> Tuple[int, int, int]:
+    """`(n_pitch, n_rhythm, den)`: the weights are exactly n_pitch / den
+    and n_rhythm / den, since a float is a dyadic rational."""
+    w_pitch, w_rhythm = map(Fraction, weights)
+    den = lcm(w_pitch.denominator, w_rhythm.denominator)
+    return (w_pitch.numerator * (den // w_pitch.denominator),
+            w_rhythm.numerator * (den // w_rhythm.denominator), den)
 
-    Exact rational arithmetic, so the score is reproducible bit-for-bit.
+
+def _score(d_steps: int, d_ratios: int, denom: int,
+           n_pitch: int, n_rhythm: int, den: int) -> float:
+    """1 minus the weighted distance over denom, clamped at 0.
+
+    The exact score is one ratio of integers, and int / int is correctly
+    rounded, so the float is bit-for-bit that of the exact rational.
     """
-    score = 1 - (w_pitch * Fraction(d_steps, denom)
-                 + w_rhythm * Fraction(d_ratios, denom))
-    return float(min(Fraction(1), max(Fraction(0), score)))
+    exact = den * denom - n_pitch * d_steps - n_rhythm * d_ratios
+    return max(exact, 0) / (den * denom)
 
 
 def similarity(a: IntervalProfile, b: IntervalProfile,
@@ -143,7 +155,7 @@ def similarity(a: IntervalProfile, b: IntervalProfile,
     d_ratios = _prefix_distances(len(a), _pattern_masks(a.ratios),
                                  b.ratios)[-1]
     return _score(d_steps, d_ratios, max(len(a), len(b)),
-                  *map(Fraction, weights))
+                  *_weight_ticks(weights))
 
 
 def find_recurrences(piece: Piece, query: Part,
@@ -162,41 +174,44 @@ def find_recurrences(piece: Piece, query: Part,
     so a part of n skyline notes costs O(n * ceil(1.5 q)) word operations
     for a q-note query.
     """
-    if len(query.events) < 2:
+    if len(query) < 2:
         raise AnalysisError("query shorter than 2 notes")
     if not 0 < threshold <= 1:
         raise AnalysisError("threshold must be in (0, 1]")
     check_weights(weights, 2)
     qprof = interval_profile(query)
-    n = len(query.events)
+    n = len(query)
     lo = max(2, n // 2)
     hi = -(-3 * n // 2)  # ceil(1.5 n)
 
     qlen = len(qprof)
     step_masks = _pattern_masks(qprof.steps)
-    # ratios are interned to small ints so the passes hash no Fractions
-    ratio_ids: Dict[Fraction, int] = {}
+    # each ratio is interned to a small int by its reduced (numerator,
+    # denominator), so the passes build and hash no Fractions
+    ratio_ids: Dict[Tuple[int, int], int] = {}
     ratio_masks = _pattern_masks(
-        [ratio_ids.setdefault(r, len(ratio_ids)) for r in qprof.ratios])
-    exact_weights = tuple(map(Fraction, weights))
+        [ratio_ids.setdefault((r.numerator, r.denominator), len(ratio_ids))
+         for r in qprof.ratios])
+    weight_ticks = _weight_ticks(weights)
     scores: Dict[Tuple[int, int, int], float] = {}
 
     candidates = []
     for part in piece.parts:
-        if not part.events:
+        if not len(part):
             continue
+        # a skyline is monophonic; its notes stay in ticks of its own
+        # scale, so candidates compare times only within one voice
         line = skyline(Piece(parts=(part,)))
-        notes = line.events
-        # each part's notes in ticks of its own scale: candidates compare
-        # times only within one voice
-        _, onsets, ends = Piece(parts=(line,)).timeline
-        prof = interval_profile(line)
-        ratios = [ratio_ids.setdefault(r, len(ratio_ids))
-                  for r in prof.ratios]
-        for start in range(len(notes) - lo + 1):
-            stop = start + min(hi, len(notes) - start) - 1
-            d_steps = _prefix_distances(qlen, step_masks,
-                                        prof.steps[start:stop])
+        pitches, onsets, durations = line.pitches, line.onsets, line.durations
+        steps = list(map(sub, pitches[1:], pitches))
+        ratios = []
+        for a, b in zip(durations, durations[1:]):
+            g = gcd(a, b)
+            ratios.append(ratio_ids.setdefault((b // g, a // g),
+                                               len(ratio_ids)))
+        for start in range(len(line) - lo + 1):
+            stop = start + min(hi, len(line) - start) - 1
+            d_steps = _prefix_distances(qlen, step_masks, steps[start:stop])
             d_ratios = _prefix_distances(qlen, ratio_masks,
                                          ratios[start:stop])
             for length in range(lo, stop - start + 2):
@@ -204,11 +219,12 @@ def find_recurrences(piece: Piece, query: Part,
                        max(qlen, length - 1))
                 sim = scores.get(key)
                 if sim is None:
-                    sim = scores[key] = _score(*key, *exact_weights)
+                    sim = scores[key] = _score(*key, *weight_ticks)
                 if sim >= threshold:
                     last = start + length - 1
                     candidates.append((sim, part.voice, onsets[start],
-                                       ends[last], notes[start], notes[last]))
+                                       onsets[last] + durations[last],
+                                       line.scale))
 
     # greedy by descending similarity; a candidate overlapping a chosen
     # one in the same part is dropped. The chosen spans of one part are
@@ -217,14 +233,15 @@ def find_recurrences(piece: Piece, query: Part,
     candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
     spans: Dict[int, Tuple[List[int], List[int]]] = {}
     chosen: list[Tuple[float, int, Fraction, Fraction]] = []
-    for sim, voice, start, end, first, last in candidates:
+    for sim, voice, start, end, scale in candidates:
         starts, stops = spans.setdefault(voice, ([], []))
         k = bisect_left(starts, end)
         if k and stops[k - 1] > start:
             continue
         starts.insert(k, start)
         stops.insert(k, end)
-        chosen.append((sim, voice, first.onset, last.end))
+        chosen.append((sim, voice, Fraction(start, scale),
+                       Fraction(end, scale)))
     chosen.sort(key=lambda c: (c[2], c[1]))
 
     matches = tuple(RecurrenceMatch(i, voice, start, end, sim)

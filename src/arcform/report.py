@@ -72,7 +72,7 @@ def build_report(piece: Piece, source: str, config: AnalysisConfig,
         "key": key_name(piece.key) if piece.key else None,
         "beats_total": piece.beats_total,
         "parts": len(piece.parts),
-        "events": len(piece.all_events()),
+        "events": sum(map(len, piece.parts)),
         "tool_version": version,
         "config": config,
     }

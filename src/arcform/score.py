@@ -1,19 +1,22 @@
 """Symbolic score data model, .notes text I/O, MIDI import, skyline melody.
 
 Onsets and durations are exact rationals (beats) so that duration-ratio
-comparisons downstream never suffer float drift.
+comparisons downstream never suffer float drift. A part keeps them as
+integer ticks at its own scale, and builds `NoteEvent`s only on demand.
 """
 
 from __future__ import annotations
 
 import heapq
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from itertools import chain
+from math import gcd, lcm
+from operator import add, itemgetter, le, sub
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import AnalysisError, MidiError, NotesParseError
 
@@ -78,39 +81,113 @@ class NoteEvent:
         if type(duration) is not Fraction:
             duration = Fraction(duration)
             object.__setattr__(self, "duration", duration)
-        if duration.numerator <= 0:
-            raise ValueError("non-positive duration")
-        if onset.numerator < 0:
-            raise ValueError("negative onset")
-        if not 0 <= self.pitch <= 127:
-            raise ValueError("pitch out of range")
-        if not 1 <= self.velocity <= 127:
-            raise ValueError("velocity out of range")
+        _check_note(onset.numerator, duration.numerator, self.pitch,
+                    self.velocity)
 
     @property
     def end(self) -> Fraction:
         return self.onset + self.duration
 
 
-@dataclass(frozen=True)
+def _check_note(onset: int, duration: int, pitch: int, velocity: int) -> None:
+    """Raise ValueError for the first bad field; `onset` and `duration`
+    need only carry the sign of the beats."""
+    if duration <= 0:
+        raise ValueError("non-positive duration")
+    if onset < 0:
+        raise ValueError("negative onset")
+    if not 0 <= pitch <= 127:
+        raise ValueError("pitch out of range")
+    if not 1 <= velocity <= 127:
+        raise ValueError("velocity out of range")
+
+
+@dataclass(frozen=True, init=False)
 class Part:
-    """One voice: events kept sorted, stably, by (onset, pitch)."""
+    """One voice as integer columns, sorted stably by (onset, pitch).
 
-    voice: int = 0
-    events: Tuple[NoteEvent, ...] = ()
+    Note i starts at `onsets[i]` and lasts `durations[i]` ticks of
+    1/`scale` beat, where `scale` is the lcm of the notes' onset and
+    duration denominators. That scale is canonical, so two parts hold the
+    same notes exactly when their fields are equal. `voices` holds each
+    note's own voice, which a skyline mixes. `Part(voice, events)` builds
+    one from `NoteEvent`s; `events` builds them back on first access.
+    """
 
-    def __post_init__(self):
-        # int / int is correctly rounded, so the float key is monotone in
-        # the onset and only float ties compare Fractions
-        ordered = tuple(sorted(self.events, key=lambda e: (
-            e.onset.numerator / e.onset.denominator, e.onset, e.pitch)))
-        object.__setattr__(self, "events", ordered)
+    voice: int
+    scale: int
+    onsets: Tuple[int, ...]
+    durations: Tuple[int, ...]
+    pitches: Tuple[int, ...]
+    velocities: Tuple[int, ...]
+    voices: Tuple[int, ...]
+
+    def __init__(self, voice: int = 0, events: Iterable[NoteEvent] = ()):
+        events = tuple(events)
+        scale = lcm(*{e.onset.denominator for e in events},
+                    *{e.duration.denominator for e in events})
+        self._fill(voice, scale, [
+            [e.onset.numerator * (scale // e.onset.denominator)
+             for e in events],
+            [e.duration.numerator * (scale // e.duration.denominator)
+             for e in events],
+            [e.pitch for e in events], [e.velocity for e in events],
+            [e.voice for e in events]])
+
+    @classmethod
+    def _from_columns(cls, voice: int, scale: int,
+                      columns: Sequence[Sequence[int]]) -> Part:
+        """A part from its five note columns, in field order, with times
+        in ticks of 1/scale beat."""
+        part = cls.__new__(cls)
+        part._fill(voice, scale, columns)
+        return part
+
+    def _fill(self, voice: int, scale: int,
+              columns: Sequence[Sequence[int]]) -> None:
+        """Set the fields: sort the columns stably by (onset, pitch),
+        unless they already are (as `serialize_text` writes them), and
+        reduce the scale to the canonical one.
+
+        Callers pass lists or tuples, not iterators: `tuple()` of an
+        iterator is allocated at a guessed size and resized, which moves
+        small tuples from one of CPython's per-size free lists to another
+        and raises a long run's peak memory."""
+        onsets, _, pitches, _, _ = columns
+        if not all(map(le, zip(onsets, pitches),
+                       zip(onsets[1:], pitches[1:]))):
+            # two stable sorts order by (onset, pitch) and keep equal
+            # notes in input order, with no key object per note
+            order = sorted(range(len(onsets)), key=pitches.__getitem__)
+            order.sort(key=onsets.__getitem__)
+            # out of order means two notes or more, so itemgetter gives tuples
+            columns = map(itemgetter(*order), columns)
+        onsets, durations, pitches, velocities, voices = map(tuple, columns)
+        unit = gcd(scale, *onsets, *durations)
+        if unit > 1:
+            scale //= unit
+            onsets = tuple([t // unit for t in onsets])
+            durations = tuple([t // unit for t in durations])
+        vars(self).update(voice=voice, scale=scale, onsets=onsets,
+                          durations=durations, pitches=pitches,
+                          velocities=velocities, voices=voices)
+
+    @cached_property
+    def events(self) -> Tuple[NoteEvent, ...]:
+        """The notes as `NoteEvent`s, built on first access and kept."""
+        beats = {t: Fraction(t, self.scale)
+                 for t in {*self.onsets, *self.durations}}
+        return tuple(NoteEvent(beats[on], beats[dur], pitch, vel, voice)
+                     for on, dur, pitch, vel, voice in zip(
+                         self.onsets, self.durations, self.pitches,
+                         self.velocities, self.voices))
+
+    def __len__(self) -> int:
+        return len(self.pitches)
 
     def is_monophonic(self) -> bool:
-        for prev, nxt in zip(self.events, self.events[1:]):
-            if nxt.onset < prev.end:
-                return False
-        return True
+        ends = map(add, self.onsets, self.durations)
+        return all(map(le, ends, self.onsets[1:]))
 
 
 @dataclass(frozen=True)
@@ -129,19 +206,26 @@ class Piece:
     @cached_property
     def timeline(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
         """`(scale, onsets, ends)`: every event of `all_events()` in whole
-        ticks of 1/scale beat, where scale is the lcm of the onset and
-        duration denominators. Computed once per piece; exact, so any
-        order or difference of ticks is that of the beats."""
-        events = self.all_events()
-        onsets = [e.onset for e in events]
-        durations = [e.duration for e in events]
-        scale = lcm(*{x.denominator for x in onsets},
-                    *{x.denominator for x in durations})
-        on_ticks = tuple([x.numerator * (scale // x.denominator)
-                          for x in onsets])
-        end_ticks = tuple([on + x.numerator * (scale // x.denominator)
-                           for on, x in zip(on_ticks, durations)])
-        return scale, on_ticks, end_ticks
+        ticks of 1/scale beat, where scale is the lcm of the parts'
+        scales. Computed once per piece; exact, so any order or difference
+        of ticks is that of the beats."""
+        scale = lcm(*[p.scale for p in self.parts])
+        onsets: List[int] = []
+        ends: List[int] = []
+        for p in self.parts:
+            on, dur = p.onsets, p.durations
+            if p.scale != scale:
+                k = scale // p.scale
+                on, dur = [t * k for t in on], [t * k for t in dur]
+            onsets += on
+            ends += map(add, on, dur)
+        return scale, tuple(onsets), tuple(ends)
+
+    def column(self, name: str) -> List[int]:
+        """One of the parts' integer columns (`pitches`, `velocities` or
+        `voices`) over every note, in `all_events()` order."""
+        return list(chain.from_iterable(getattr(p, name)
+                                        for p in self.parts))
 
     @cached_property
     def beats_total(self) -> Fraction:
@@ -153,22 +237,18 @@ class Piece:
         return tuple(e for p in self.parts for e in p.events)
 
 
-def _beats(ticks: List[int], scale: int) -> Dict[int, Fraction]:
-    """Each distinct tick count in beats of `scale` ticks, built once."""
-    return {t: Fraction(t, scale) for t in set(ticks)}
-
-
-def _parse_beat(token: str, memo: dict[str, Fraction]) -> Fraction:
-    """A beat token, memoised: durations repeat heavily, onsets repeat
-    across voices, and a Fraction is immutable, so events share them."""
-    value = memo.get(token)
-    if value is None:
-        if "/" in token:
-            num, den = token.split("/", 1)
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(token))
-        memo[token] = value
+def _parse_beat(token: str, memo: dict[str, Tuple[int, int]]) -> Tuple[int, int]:
+    """A beat token as its reduced (numerator, denominator), with a
+    positive denominator, stored in `memo` for the token's next use:
+    durations repeat heavily and onsets repeat across voices."""
+    if "/" in token:
+        num, den = map(int, token.split("/", 1))
+        if not den:
+            raise ZeroDivisionError(f"beat {token!r}")
+        unit = gcd(num, den) if den > 0 else -gcd(num, den)
+        value = memo[token] = (num // unit, den // unit)
+    else:
+        value = memo[token] = (int(token), 1)
     return value
 
 
@@ -176,14 +256,16 @@ def parse_text(source: str) -> Piece:
     """Parse the canonical .notes text format into a Piece."""
     key: Optional[Tuple[int, str]] = None
     title: Optional[str] = None
-    events: list[NoteEvent] = []
-    beats: dict[str, Fraction] = {}
+    # per voice, its notes' onset token, duration token, pitch and
+    # velocity, one note after another in one flat list
+    by_voice: defaultdict[int, list] = defaultdict(list)
+    beats: dict[str, Tuple[int, int]] = {}
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        if line.startswith("@"):
-            fields = line.split(None, 1)
+        if fields[0][0] == "@":
+            fields = raw.strip().split(None, 1)
             tag = fields[0]
             rest = fields[1].strip() if len(fields) > 1 else ""
             if tag == "@key":
@@ -203,27 +285,31 @@ def parse_text(source: str) -> Piece:
             else:
                 raise NotesParseError(f"unknown metadata tag {tag}", lineno)
             continue
-        fields = line.split()
         if not 3 <= len(fields) <= 5:
             raise NotesParseError("wrong field count", lineno)
         try:
-            onset = _parse_beat(fields[0], beats)
-            duration = _parse_beat(fields[1], beats)
+            onset = beats.get(fields[0]) or _parse_beat(fields[0], beats)
+            duration = beats.get(fields[1]) or _parse_beat(fields[1], beats)
             pitch = int(fields[2])
             velocity = int(fields[3]) if len(fields) >= 4 else 64
             voice = int(fields[4]) if len(fields) >= 5 else 0
         except (ValueError, ZeroDivisionError) as exc:
             raise NotesParseError("non-numeric field", lineno) from exc
         try:
-            events.append(NoteEvent(onset, duration, pitch, velocity, voice))
+            _check_note(onset[0], duration[0], pitch, velocity)
         except ValueError as exc:
             raise NotesParseError(str(exc), lineno) from exc
-    by_voice: dict[int, list[NoteEvent]] = {}
-    for ev in events:
-        by_voice.setdefault(ev.voice, []).append(ev)
-    parts = tuple(Part(voice=v, events=tuple(evs))
-                  for v, evs in sorted(by_voice.items()))
-    return Piece(parts=parts, key=key, title=title or "")
+        by_voice[voice].extend((fields[0], fields[1], pitch, velocity))
+    # every beat in ticks of one scale; each part then reduces its own
+    scale = lcm(*{den for _, den in beats.values()})
+    ticks_of = {token: num * (scale // den)
+                for token, (num, den) in beats.items()}.__getitem__
+    parts = []
+    for v, notes in sorted(by_voice.items()):
+        parts.append(Part._from_columns(v, scale, [
+            list(map(ticks_of, notes[0::4])), list(map(ticks_of, notes[1::4])),
+            notes[2::4], notes[3::4], [v] * (len(notes) // 4)]))
+    return Piece(parts=tuple(parts), key=key, title=title or "")
 
 
 def serialize_text(piece: Piece) -> str:
@@ -255,10 +341,10 @@ def _read_varlen(data: bytes, pos: int) -> Tuple[int, int]:
     raise MidiError("variable-length quantity too long")
 
 
-def _track_events(chunk: bytes, division: int, voice: int) -> Tuple[NoteEvent, ...]:
-    """One MTrk chunk's notes, sorted by (onset, pitch); equal ones stay
-    in the order they closed."""
-    notes: list[Tuple[int, int, int, int]] = []  # start, pitch, length, vel
+def _track_events(chunk: bytes, division: int, voice: int) -> Part:
+    """One MTrk chunk's notes as a part, sorted by (onset, pitch); equal
+    ones stay in the order they closed."""
+    notes: List[int] = []  # start, length, pitch, velocity of each note
     open_notes: dict[Tuple[int, int], list[Tuple[int, int]]] = {}
     pos = 0
     tick = 0
@@ -270,7 +356,7 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Tuple[NoteEvent, .
             return
         start_tick, vel = stack.pop(0)
         if end_tick > start_tick:
-            notes.append((start_tick, pitch, end_tick - start_tick,
+            notes.extend((start_tick, end_tick - start_tick, pitch,
                           max(1, vel)))
 
     size = len(chunk)
@@ -319,11 +405,9 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Tuple[NoteEvent, .
             warnings.warn(f"unmatched note-on (pitch {pitch}) closed at "
                           f"track end", stacklevel=3)
             close(channel, pitch, tick)
-    # ticks stay ints until here: one Fraction per distinct tick count
-    notes.sort(key=itemgetter(0, 1))
-    beats = _beats([n[0] for n in notes] + [n[2] for n in notes], division)
-    return tuple(NoteEvent(beats[start], beats[length], pitch, vel, voice)
-                 for start, pitch, length, vel in notes)
+    return Part._from_columns(voice, division, [
+        notes[0::4], notes[1::4], notes[2::4], notes[3::4],
+        [voice] * (len(notes) // 4)])
 
 
 def import_midi(data: bytes) -> Piece:
@@ -355,8 +439,7 @@ def import_midi(data: bytes) -> Piece:
         pos += 8 + length
         if magic != b"MTrk":
             continue  # alien chunk: skip per SMF spec
-        parts.append(Part(voice=track_index,
-                          events=_track_events(chunk, division, track_index)))
+        parts.append(_track_events(chunk, division, track_index))
     return Piece(parts=tuple(parts))
 
 
@@ -369,23 +452,22 @@ def skyline(piece: Piece) -> Part:
     then the first in `all_events()` order). One sweep over the sorted
     boundaries keeps the sounding events in a max-heap and drops those that
     have ended only when they reach its top: O(n log n) for n events. The
-    sweep runs on the piece's integer ticks; only the output notes are
-    built as Fractions.
+    sweep and its output stay in the piece's integer ticks.
     """
-    events = piece.all_events()
-    if not events:
-        raise AnalysisError("empty piece")
     scale, onsets, ends = piece.timeline
+    if not onsets:
+        raise AnalysisError("empty piece")
+    pitches, velocities, voices = map(piece.column,
+                                      ("pitches", "velocities", "voices"))
     boundaries = sorted(set(onsets).union(ends))
-    by_onset = sorted(range(len(events)), key=onsets.__getitem__)
+    by_onset = sorted(range(len(onsets)), key=onsets.__getitem__)
     heap: list[Tuple[int, int, int, int]] = []
     pushed = 0
     segments: list[Tuple[int, int, int]] = []
     for lo, hi in zip(boundaries, boundaries[1:]):
         while pushed < len(by_onset) and onsets[by_onset[pushed]] <= lo:
             i = by_onset[pushed]
-            heapq.heappush(heap, (-events[i].pitch, onsets[i],
-                                  events[i].voice, i))
+            heapq.heappush(heap, (-pitches[i], onsets[i], voices[i], i))
             pushed += 1
         while heap and ends[heap[0][3]] <= lo:
             heapq.heappop(heap)
@@ -396,9 +478,7 @@ def skyline(piece: Piece) -> Part:
             segments[-1] = (segments[-1][0], hi, winner)
         else:
             segments.append((lo, hi, winner))
-    beats = _beats([lo for lo, _, _ in segments]
-                   + [hi - lo for lo, hi, _ in segments], scale)
-    out = tuple(NoteEvent(beats[lo], beats[hi - lo], events[i].pitch,
-                          events[i].velocity, events[i].voice)
-                for lo, hi, i in segments)
-    return Part(voice=0, events=out)
+    los, his, winners = zip(*segments)
+    return Part._from_columns(0, scale, [
+        los, list(map(sub, his, los)), [pitches[i] for i in winners],
+        [velocities[i] for i in winners], [voices[i] for i in winners]])

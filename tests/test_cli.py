@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,24 @@ def test_bad_config_value_names_file_and_line(fixtures_dir, tmp_path):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("value", ["1e100000000", "4e0", "1E3"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_window_with_exponent_exit_2_at_once(fixtures_dir, tmp_path, capsys,
+                                             where, value):
+    # Fraction would expand the exponent in full, for minutes or hours
+    if where == "flag":
+        flags, message = ["--window", value], "--window: bad value for window"
+    else:
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"threshold=0.9\nwindow={value}\n")
+        flags, message = ["--config", str(cfg)], f"{cfg}:2: bad value for window"
+    start = time.perf_counter()
+    code = main(["analyze", str(fixtures_dir / "fixture_fig1.notes"), *flags])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["score.notes", "a.cfg"])
 def test_non_utf8_input_exit_2(fixtures_dir, tmp_path, name):
     bad = tmp_path / name
@@ -263,6 +282,24 @@ def test_climax_csv_curve(fixtures_dir):
     assert lines[0] == "time,salience"
     assert len(lines) > 10
     assert all("," in line for line in lines[1:])
+
+
+@pytest.mark.parametrize("source", ["window", "midi"])
+def test_climax_grid_over_the_bound_exit_3(fixtures_dir, tmp_path, source):
+    if source == "window":  # 60 beats in steps of 1/2000 beat
+        args = [fixtures_dir / "fixture_fig1.notes", "--window", "0.001"]
+    else:  # one note 0x0FFFFFFF beats long
+        score = tmp_path / "long.mid"
+        score.write_bytes(midi_file([[(0, [0x90, 60, 80]),
+                                      (0x0FFFFFFF, [0x80, 60, 0])]],
+                                    division=1))
+        args = [score]
+    res = run_cli("climax", *args)
+    assert res.returncode == 3
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert line.startswith("error: ") and "grid points" in line
+    assert "--window" in line
 
 
 def test_recur_report(fixtures_dir):

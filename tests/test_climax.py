@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from arcform import AnalysisError, NoteEvent, Part, Piece, parse_text
+from arcform import climax
 from arcform.climax import climax_profile, locate_climax, salience_curve
 from oracles import oracle_salience_curve
 
@@ -68,6 +69,14 @@ def test_empty_and_zero_duration_errors():
         salience_curve(Piece())
     with pytest.raises(AnalysisError, match="window"):
         salience_curve(mono_piece([60]), window=Fraction(0))
+
+
+def test_grid_over_the_bound_is_refused(monkeypatch):
+    monkeypatch.setattr(climax, "MAX_GRID_POINTS", 11)
+    piece = mono_piece([60])  # one beat
+    assert len(salience_curve(piece, window=Fraction(1, 5))) == 11
+    with pytest.raises(AnalysisError, match="12 grid points"):
+        salience_curve(piece, window=Fraction(2, 11))
 
 
 def test_bad_weights_rejected():

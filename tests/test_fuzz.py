@@ -155,9 +155,9 @@ def test_mutated_config_raises_only_arcform_errors(work_dir, edit_list):
 @given(st.sampled_from(["score.mid", "score.notes", "settings.cfg"]),
        st.data())
 def test_cli_exit_codes_over_mutated_inputs(work_dir, target, data):
-    # `recur` reads all three formats. The climax subcommands are left
-    # out: their grid grows with the piece's span, and one mutated MIDI
-    # delta can stretch that span to millions of beats.
+    # `recur` reads all three formats; `analyze` and `climax` also run the
+    # salience grid, whose bound refuses a span that one mutated MIDI
+    # delta stretches to millions of beats
     files = {"score.mid": SMF, "score.notes": NOTES.encode("utf-8"),
              "settings.cfg": CONFIG.encode("utf-8")}
     if target == "score.mid":
@@ -171,10 +171,12 @@ def test_cli_exit_codes_over_mutated_inputs(work_dir, target, data):
                                      data.draw(edits(config_units)))
     for name, blob in files.items():
         (work_dir / name).write_bytes(blob)
-    score = "score.notes" if target == "settings.cfg" else target
-    code = run_main(["recur", str(work_dir / score), "--query", QUERY,
-                     "--config", str(work_dir / "settings.cfg")])
-    assert code in EXIT_CODES
+    score = str(work_dir / ("score.notes" if target == "settings.cfg"
+                            else target))
+    config = ["--config", str(work_dir / "settings.cfg")]
+    for command in (["recur", score, "--query", QUERY], ["analyze", score],
+                    ["climax", score, "--csv"]):
+        assert run_main([*command, *config]) in EXIT_CODES
 
 
 form_strings = st.text(st.one_of(st.sampled_from("ABC"), st.characters()),

@@ -9,7 +9,7 @@ from arcform import (AnalysisError, NoteEvent, Part, Piece,
                      similarity, skyline)
 from arcform.recurrence import (MAJOR_SET, NATURAL_MINOR_SET,
                                 IntervalProfile, _pattern_masks,
-                                _prefix_distances)
+                                _prefix_distances, _score, _weight_ticks)
 
 from oracles import (oracle_find_recurrences, oracle_similarity,
                      oracle_skyline, recursive_edit_distance)
@@ -69,6 +69,21 @@ def test_similarity_against_empty_profile():
     empty = IntervalProfile((), ())
     assert similarity(a, empty, (1.0, 0.0)) == 0.0
     assert similarity(empty, empty) == 1.0
+
+
+@pytest.mark.parametrize("weights", [(0.7, 0.3), (0.1, 0.9), (1.0, 0.0),
+                                     (0.5, 0.5)])
+def test_integer_score_is_the_exact_fraction_score(weights):
+    # 0.1 and 0.9 are n / 2**55 and n / 2**53 as Fractions
+    w_pitch, w_rhythm = map(Fraction, weights)
+    ticks = _weight_ticks(weights)
+    for denom in range(1, 25):
+        for d_steps in range(denom + 2):
+            for d_ratios in range(denom + 2):
+                exact = 1 - (w_pitch * Fraction(d_steps, denom)
+                             + w_rhythm * Fraction(d_ratios, denom))
+                assert _score(d_steps, d_ratios, denom, *ticks) == \
+                    float(max(Fraction(0), exact))
 
 
 def test_similarity_weight_violation():

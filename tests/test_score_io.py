@@ -95,6 +95,49 @@ def test_text_round_trip(piece):
     assert parse_text(serialize_text(piece)) == piece
 
 
+@st.composite
+def tied_pieces(draw):
+    """Notes that share onsets (any denominator) and pitches, so equal
+    (onset, pitch) keys must keep the order they were given in."""
+    onsets = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 7),
+                              Fraction(5, 2), Fraction(10, 3), Fraction(4)])
+    parts = []
+    for voice in draw(st.lists(st.integers(-2, 5), min_size=1, max_size=4,
+                               unique=True).map(sorted)):
+        events = draw(st.lists(st.builds(
+            NoteEvent, onset=onsets, duration=_durations,
+            pitch=st.sampled_from([0, 60, 61, 127]),
+            velocity=st.integers(1, 127), voice=st.just(voice)),
+            min_size=1, max_size=10))
+        parts.append(Part(voice, events))
+    return Piece(parts=tuple(parts))
+
+
+@given(tied_pieces())
+def test_columns_parsed_from_text_equal_columns_built_from_events(piece):
+    parsed = parse_text(serialize_text(piece))
+    assert parsed == piece and hash(parsed) == hash(piece)
+    assert [p.events for p in parsed.parts] == [p.events for p in piece.parts]
+    assert parsed.all_events() == piece.all_events()
+    assert parsed.timeline == piece.timeline
+
+
+def test_part_from_columns_equals_part_from_events():
+    # times in ticks of 1/12 beat, out of order, with an (onset, pitch) tie
+    columns = ((6, 0, 6, 3), (3, 12, 9, 6), (62, 60, 62, 64),
+               (10, 20, 30, 40), (1, 1, 1, 2))
+    built = Part._from_columns(1, 12, columns)
+    events = (NoteEvent(Fraction(1, 2), Fraction(1, 4), 62, 10, 1),
+              NoteEvent(0, 1, 60, 20, 1),
+              NoteEvent(Fraction(1, 2), Fraction(3, 4), 62, 30, 1),
+              NoteEvent(Fraction(1, 4), Fraction(1, 2), 64, 40, 2))
+    from_events = Part(1, events)
+    assert built == from_events and hash(built) == hash(from_events)
+    assert built.scale == 4 and built.onsets == (0, 1, 2, 2)
+    assert built.events == from_events.events == (
+        events[1], events[3], events[0], events[2])
+
+
 def test_beats_total_is_max_event_end():
     piece = parse_text("0 1 60\n2 3/2 64\n")
     assert piece.beats_total == Fraction(7, 2)
