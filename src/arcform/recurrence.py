@@ -8,12 +8,15 @@ tempo scaling.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import sub
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Dict, Hashable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .config import DEFAULTS, check_weights
 from .errors import AnalysisError
@@ -93,36 +96,83 @@ def _pattern_masks(pattern: Sequence[Hashable]) -> Dict[Hashable, int]:
     return masks
 
 
-def _prefix_distances(pattern_len: int, masks: Dict[Hashable, int],
-                      text: Sequence[Hashable]) -> List[int]:
-    """Unit-cost Levenshtein distance of the pattern to every text prefix.
+def _lane_width(pattern_len: int) -> int:
+    """Bits per lane: the pattern plus a guard bit for the carry, rounded
+    up to a width `memoryview.cast` reads back (16, 32 or 64·m)."""
+    if pattern_len < 16:
+        return 16
+    if pattern_len < 32:
+        return 32
+    return 64 * -(-(pattern_len + 1) // 64)
 
-    Entry k is the distance to text[:k]. Myers' (1999) bit-vector
-    recurrence in Hyyrö's global-distance form: the vertical deltas of one
-    DP column are two bit-vectors, and each text symbol advances the column
-    in a few word operations. Python ints are unbounded, so any pattern
-    length works; bits above the pattern never reach the bits below it.
+
+def _low_bits(lanes: int, width: int) -> int:
+    """Bit 0 of each of `lanes` lanes of `width` bits."""
+    return int.from_bytes(b"\1".ljust(width // 8, b"\0") * lanes, "little")
+
+
+def _packed_distances(pattern: Sequence[Hashable], text: Sequence[Hashable],
+                      lanes: int, steps: int) -> Iterator[int]:
+    """Unit-cost Levenshtein distances of the pattern to text[s:s + t] for
+    every start s < lanes, packed in one int per t = 1..steps.
+
+    Lane s is bits [s·w, (s + 1)·w) for w = `_lane_width(len(pattern))`
+    and runs Myers' (1999) bit-vector recurrence in Hyyrö's global-distance
+    form over text[s:]: the vertical deltas of one DP column are two
+    bit-vectors, and each step advances every lane's column in a dozen
+    big-int operations (Hyyrö, Fredriksson & Navarro, JEA 2005). A sum
+    carries into the lane's guard bit and every result is masked back to
+    the low len(pattern) bits, so no lane reaches another. Each yielded
+    int holds every lane's distance, at most max(len(pattern), t), as a
+    counter in its low bits, so lanes stay apart while steps < 2**w; lanes
+    past the end of the text read a symbol that matches nothing. Only the
+    current step's words are kept.
     """
-    if not pattern_len:
-        return list(range(len(text) + 1))
-    dist = pattern_len
-    out = [dist]
-    top = 1 << (pattern_len - 1)
-    vp, vn = -1, 0
-    for sym in text:
-        x = masks.get(sym, 0)
-        d0 = (((x & vp) + vp) ^ vp) | x | vn
-        hp = vn | ~(d0 | vp)
+    qlen = len(pattern)
+    width = _lane_width(qlen)
+    low = _low_bits(lanes, width)
+    if not qlen:
+        yield from (t * low for t in range(1, steps + 1))
+        return
+    size = width // 8
+    zero = bytes(size)
+    codes = {sym: mask.to_bytes(size, "little")
+             for sym, mask in _pattern_masks(pattern).items()}
+    # lane i of `symbols` is the pattern mask of text[i]; shifted down t
+    # lanes, lane s holds that of text[s + t]
+    symbols = int.from_bytes(
+        b"".join([codes.get(sym, zero) for sym in text]), "little")
+    lows = low * ((1 << qlen) - 1)
+    tops = low << (qlen - 1)
+    vp, vn, dist = lows, 0, qlen * low
+    for t in range(steps):
+        x = (symbols >> t * width) & lows
+        d0 = ((((x & vp) + vp) & lows) ^ vp) | x | vn
+        hp = vn | (lows ^ (d0 | vp))
         hn = d0 & vp
-        if hp & top:
-            dist += 1
-        elif hn & top:
-            dist -= 1
-        hp = hp << 1 | 1
-        vp = hn << 1 | ~(d0 | hp)
+        dist += (hp & tops) >> (qlen - 1)
+        dist -= (hn & tops) >> (qlen - 1)
+        hp = ((hp << 1) & lows) | low
+        vp = ((hn << 1) & lows) | (lows ^ (d0 | hp))
         vn = hp & d0
-        out.append(dist)
-    return out
+        yield dist
+
+
+def _read_lanes(packed: int, lanes: int, width: int) -> memoryview:
+    """Item s is lane s of `packed` (its low 64 bits when it is wider)."""
+    view = memoryview(packed.to_bytes(lanes * width // 8, sys.byteorder)
+                      ).cast({16: "H", 32: "I"}.get(width, "Q"))
+    if sys.byteorder == "big":
+        view = view[::-1]
+    return view[::width // 64] if width > 64 else view
+
+
+def _distance(pattern: Sequence[Hashable], text: Sequence[Hashable]) -> int:
+    """Unit-cost Levenshtein distance: one lane run over the whole text."""
+    dist = len(pattern)
+    for dist in _packed_distances(pattern, text, 1, len(text)):
+        pass
+    return dist
 
 
 def _weight_ticks(weights: Tuple[float, float]) -> Tuple[int, int, int]:
@@ -151,11 +201,8 @@ def similarity(a: IntervalProfile, b: IntervalProfile,
     check_weights(weights, 2)
     if len(a) == 0 and len(b) == 0:
         return 1.0
-    d_steps = _prefix_distances(len(a), _pattern_masks(a.steps), b.steps)[-1]
-    d_ratios = _prefix_distances(len(a), _pattern_masks(a.ratios),
-                                 b.ratios)[-1]
-    return _score(d_steps, d_ratios, max(len(a), len(b)),
-                  *_weight_ticks(weights))
+    return _score(_distance(a.steps, b.steps), _distance(a.ratios, b.ratios),
+                  max(len(a), len(b)), *_weight_ticks(weights))
 
 
 def find_recurrences(piece: Piece, query: Part,
@@ -169,10 +216,12 @@ def find_recurrences(piece: Piece, query: Part,
     greedily by descending similarity.
 
     The window of `length` notes from note `start` has the interval profile
-    of the skyline sliced to [start, start + length - 1). One bit-vector
-    edit-distance pass from each start scores every window length at once,
-    so a part of n skyline notes costs O(n * ceil(1.5 q)) word operations
-    for a q-note query.
+    of the skyline sliced to [start, start + length - 1). One packed
+    bit-vector pass per part and symbol stream runs the query from every
+    start at once, one start per lane, and its step t gives every window
+    of t + 1 notes: a part of n skyline notes takes ceil(1.5 q) - 1 packed
+    steps, O(n * q * w / 64) word operations for a q-note query and w-bit
+    lanes, and Python work only per lane that survives the bounds below.
     """
     if len(query) < 2:
         raise AnalysisError("query shorter than 2 notes")
@@ -185,46 +234,76 @@ def find_recurrences(piece: Piece, query: Part,
     hi = -(-3 * n // 2)  # ceil(1.5 n)
 
     qlen = len(qprof)
-    step_masks = _pattern_masks(qprof.steps)
+    width = _lane_width(qlen)
     # each ratio is interned to a small int by its reduced (numerator,
     # denominator), so the passes build and hash no Fractions
     ratio_ids: Dict[Tuple[int, int], int] = {}
-    ratio_masks = _pattern_masks(
-        [ratio_ids.setdefault((r.numerator, r.denominator), len(ratio_ids))
-         for r in qprof.ratios])
-    weight_ticks = _weight_ticks(weights)
+    q_ratios = [ratio_ids.setdefault((r.numerator, r.denominator),
+                                     len(ratio_ids))
+                for r in qprof.ratios]
+    weight_ticks = n_pitch, n_rhythm, den = _weight_ticks(weights)
     scores: Dict[Tuple[int, int, int], float] = {}
+    # The score falls as either distance grows, so a window can pass only
+    # if each distance is below the first one that fails with the other
+    # distance at 0: (cut for steps, cut for ratios) by window denominator,
+    # max(qlen, length - 1) for lo <= length <= hi.
+    cuts: Dict[int, Tuple[int, ...]] = {}
+    for denom in range(qlen, hi):
+        cuts[denom] = tuple(
+            bisect_left(range(denom + 1), True, key=lambda d: _score(
+                d, 0, denom, weight, 0, den) < threshold)
+            for weight in (n_pitch, n_rhythm))
 
+    # spans are compared in the piece's ticks, since parts that share a
+    # voice number can have skylines of different scales
+    scale = piece.timeline[0]
     candidates = []
     for part in piece.parts:
         if not len(part):
             continue
-        # a skyline is monophonic; its notes stay in ticks of its own
-        # scale, so candidates compare times only within one voice
         line = skyline(Piece(parts=(part,)))
-        pitches, onsets, durations = line.pitches, line.onsets, line.durations
+        lanes = len(line) - lo + 1  # window starts
+        if lanes < 1:
+            continue
+        pitches, durations = line.pitches, line.durations
+        to_piece = scale // line.scale
+        onsets = [tick * to_piece for tick in line.onsets]
+        ends = [tick + d * to_piece for tick, d in zip(onsets, durations)]
         steps = list(map(sub, pitches[1:], pitches))
         ratios = []
         for a, b in zip(durations, durations[1:]):
             g = gcd(a, b)
             ratios.append(ratio_ids.setdefault((b // g, a // g),
                                                len(ratio_ids)))
-        for start in range(len(line) - lo + 1):
-            stop = start + min(hi, len(line) - start) - 1
-            d_steps = _prefix_distances(qlen, step_masks, steps[start:stop])
-            d_ratios = _prefix_distances(qlen, ratio_masks,
-                                         ratios[start:stop])
-            for length in range(lo, stop - start + 2):
-                key = (d_steps[length - 1], d_ratios[length - 1],
-                       max(qlen, length - 1))
+        low = _low_bits(lanes, width)
+        high = low << (width - 1)
+        last = min(hi, len(line)) - 1
+        passes = zip(_packed_distances(qprof.steps, steps, lanes, last),
+                     _packed_distances(q_ratios, ratios, lanes, last))
+        for t, (d_steps, d_ratios) in enumerate(passes, 1):
+            if t + 1 < lo:
+                continue
+            denom = max(qlen, t)
+            cut_steps, cut_ratios = cuts[denom]
+            # SWAR compare: a lane keeps its high bit in (d | high) - cut
+            # exactly when d >= cut
+            fails = (((d_steps | high) - cut_steps * low)
+                     | ((d_ratios | high) - cut_ratios * low))
+            fits = len(line) - t  # lanes whose window ends in the line
+            keep = high & ~fails & ((1 << fits * width) - 1)
+            if not keep:
+                continue
+            for start, ds, dr in compress(
+                    zip(range(fits), _read_lanes(d_steps, lanes, width),
+                        _read_lanes(d_ratios, lanes, width)),
+                    _read_lanes(keep >> (width - 1), lanes, width)):
+                key = (ds, dr, denom)
                 sim = scores.get(key)
                 if sim is None:
                     sim = scores[key] = _score(*key, *weight_ticks)
                 if sim >= threshold:
-                    last = start + length - 1
                     candidates.append((sim, part.voice, onsets[start],
-                                       onsets[last] + durations[last],
-                                       line.scale))
+                                       ends[start + t]))
 
     # greedy by descending similarity; a candidate overlapping a chosen
     # one in the same part is dropped. The chosen spans of one part are
@@ -233,7 +312,7 @@ def find_recurrences(piece: Piece, query: Part,
     candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
     spans: Dict[int, Tuple[List[int], List[int]]] = {}
     chosen: list[Tuple[float, int, Fraction, Fraction]] = []
-    for sim, voice, start, end, scale in candidates:
+    for sim, voice, start, end in candidates:
         starts, stops = spans.setdefault(voice, ([], []))
         k = bisect_left(starts, end)
         if k and stops[k - 1] > start:

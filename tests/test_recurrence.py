@@ -8,8 +8,9 @@ from arcform import (AnalysisError, NoteEvent, Part, Piece,
                      find_recurrences, interval_profile, parse_text,
                      similarity, skyline)
 from arcform.recurrence import (MAJOR_SET, NATURAL_MINOR_SET,
-                                IntervalProfile, _pattern_masks,
-                                _prefix_distances, _score, _weight_ticks)
+                                IntervalProfile, _lane_width,
+                                _packed_distances, _read_lanes, _score,
+                                _weight_ticks)
 
 from oracles import (oracle_find_recurrences, oracle_similarity,
                      oracle_skyline, recursive_edit_distance)
@@ -142,7 +143,9 @@ def test_transposition_and_tempo_invariance(m, shift, scale):
 # --- bit-vector edit distance -------------------------------------------------
 
 def prefix_distances(pattern, text):
-    return _prefix_distances(len(pattern), _pattern_masks(pattern), text)
+    """Distance to every text prefix: the packed kernel with one lane."""
+    return [len(pattern)] + list(_packed_distances(pattern, text, 1,
+                                                   len(text)))
 
 
 @given(st.lists(st.integers(0, 3), max_size=10),
@@ -167,6 +170,24 @@ def test_prefix_distances_pattern_longer_than_a_machine_word():
     assert got[20] == recursive_edit_distance(pattern, text[:20])
 
 
+@pytest.mark.parametrize("pattern_len", [1, 15, 16, 31, 32, 63, 64, 65])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_packed_distances_match_recursive_oracle_in_every_lane(pattern_len,
+                                                               data):
+    # pattern lengths on each side of every lane width (16, 32, 64, 128)
+    pattern = data.draw(st.lists(st.integers(0, 3), min_size=pattern_len,
+                                 max_size=pattern_len))
+    text = data.draw(st.lists(st.integers(0, 4), max_size=10))
+    lanes = data.draw(st.integers(1, max(1, len(text))))
+    width = _lane_width(pattern_len)
+    for t, packed in enumerate(
+            _packed_distances(pattern, text, lanes, len(text)), 1):
+        got = _read_lanes(packed, lanes, width)
+        for s in range(min(lanes, len(text) - t + 1)):
+            assert got[s] == recursive_edit_distance(pattern, text[s:s + t])
+
+
 # --- heap-sweep skyline and one-pass recurrences against the oracles ------------
 
 _GRID_ONSETS = st.builds(Fraction, st.integers(0, 24), st.sampled_from([1, 2, 3]))
@@ -175,14 +196,14 @@ _SHORT_DURATIONS = st.sampled_from(
 
 
 @st.composite
-def tied_parts(draw, voice, max_events=14):
+def tied_parts(draw, voice, min_events=0, max_events=14):
     """Overlapping notes on a narrow pitch range (so equal-pitch ties are
     common), with rests between them and some notes repeated, exactly or
     with another velocity."""
     events = draw(st.lists(st.builds(
         NoteEvent, onset=_GRID_ONSETS, duration=_SHORT_DURATIONS,
         pitch=st.integers(60, 64), velocity=st.integers(1, 127),
-        voice=st.integers(0, 2)), max_size=max_events))
+        voice=st.integers(0, 2)), min_size=min_events, max_size=max_events))
     if events:
         for e in draw(st.lists(st.sampled_from(events), max_size=3)):
             velocity = draw(st.sampled_from([e.velocity, 1]))
@@ -192,9 +213,10 @@ def tied_parts(draw, voice, max_events=14):
 
 
 @st.composite
-def tied_pieces(draw, max_parts=3):
+def tied_pieces(draw, max_parts=3, min_events=0, max_events=14):
     n = draw(st.integers(1, max_parts))
-    return Piece(parts=tuple(draw(tied_parts(v)) for v in range(n)))
+    return Piece(parts=tuple(draw(tied_parts(v, min_events, max_events))
+                             for v in range(n)))
 
 
 @given(tied_pieces())
@@ -207,26 +229,26 @@ def test_skyline_matches_oracle(piece):
 
 
 @st.composite
-def recurrence_cases(draw):
-    piece = draw(tied_pieces())
+def recurrence_cases(draw, notes=st.integers(2, 8), max_parts=3,
+                     min_events=0, max_events=14):
+    n = draw(notes)
+    piece = draw(tied_pieces(max_parts, min_events, max_events))
     lines = [skyline(Piece(parts=(p,))).events for p in piece.parts
              if p.events]
-    lines = [line for line in lines if len(line) >= 2]
+    lines = [line for line in lines if len(line) >= n]
     if lines and draw(st.booleans()):
         # a slice of one part's own top line, so some windows score high
         line = draw(st.sampled_from(lines))
-        start = draw(st.integers(0, len(line) - 2))
-        stop = draw(st.integers(start + 2, min(len(line), start + 8)))
-        query = Part(0, line[start:stop])
+        start = draw(st.integers(0, len(line) - n))
+        query = Part(0, line[start:start + n])
     else:
-        n = draw(st.integers(2, 8))
         query = melody(draw(st.lists(st.integers(60, 64), min_size=n,
                                      max_size=n)),
                        draw(st.lists(_SHORT_DURATIONS, min_size=n,
                                      max_size=n)))
-    threshold = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9, 1.0]))
-    weights = draw(st.sampled_from([(0.7, 0.3), (0.5, 0.5), (1.0, 0.0),
-                                    (0.0, 1.0)]))
+    threshold = draw(st.sampled_from([0.01, 0.1, 0.3, 0.6, 0.9, 1.0]))
+    weights = draw(st.sampled_from([(0.7, 0.3), (0.5, 0.5), (0.1, 0.9),
+                                    (1.0, 0.0), (0.0, 1.0)]))
     return piece, query, threshold, weights
 
 
@@ -234,6 +256,19 @@ def recurrence_cases(draw):
 @settings(deadline=None)
 def test_find_recurrences_matches_oracle(case):
     piece, query, threshold, weights = case
+    assert find_recurrences(piece, query, threshold, weights) == \
+        oracle_find_recurrences(piece, query, threshold, weights)
+
+
+@pytest.mark.parametrize("notes", [2, 16, 17, 33])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_find_recurrences_matches_oracle_at_lane_width_edges(notes, data):
+    # profiles of 1, 15, 16 and 32 intervals: the narrowest pattern and
+    # each side of the 16- and 32-bit lanes; parts of at least that many
+    # notes, so their skylines hold windows
+    piece, query, threshold, weights = data.draw(recurrence_cases(
+        st.just(notes), 2, notes, notes + notes // 2))
     assert find_recurrences(piece, query, threshold, weights) == \
         oracle_find_recurrences(piece, query, threshold, weights)
 
@@ -254,6 +289,18 @@ def planted_piece(shifts, gap=4):
             onset += 1
         onset += gap
     return Piece(parts=(Part(0, tuple(events)),)), starts
+
+
+def test_parts_sharing_a_voice_compare_spans_in_beats():
+    # the same tune in voice 0 at beats 20-28 in quarters (scale 1) and at
+    # beats 10-14 in eighths (scale 2): equal ticks, disjoint beats
+    tune = TUNE[:8]
+    piece = Piece(parts=(melody(tune, start=20),
+                         melody(tune, [Fraction(1, 2)] * 8, start=10)))
+    series = find_recurrences(piece, melody(tune), 0.6, (0.7, 0.3))
+    assert series == oracle_find_recurrences(piece, melody(tune), 0.6,
+                                             (0.7, 0.3))
+    assert [(m.start, m.end) for m in series.matches] == [(10, 14), (20, 28)]
 
 
 def test_planted_exact_transpositions_recovered():
