@@ -306,7 +306,7 @@ def find_recurrences(piece: Piece, query: Part,
                                        ends[start + t]))
 
     # greedy by descending similarity; a candidate overlapping a chosen
-    # one in the same part is dropped. The chosen spans of one part are
+    # one in the same voice is dropped. The chosen spans of one voice are
     # disjoint, so sorted by start they are sorted by end too, and only
     # the last one starting before a candidate ends can overlap it.
     candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
