@@ -22,8 +22,8 @@ def main() -> int:
     piece = parse_text((fixtures / "passion_chorales.notes").read_text())
     query = skyline(parse_text((fixtures / "chorale_query.notes").read_text()))
     series = find_recurrences(piece, query)
-    part = piece.parts[0]
     for m in series.matches:
+        part = next(p for p in piece.parts if p.voice == m.part)
         seg = Part(part.voice, tuple(
             e for e in part.events if m.start <= e.onset < m.end))
         key = estimate_key(Piece(parts=(seg,)))

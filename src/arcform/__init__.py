@@ -7,7 +7,7 @@ asymmetry statistics, and the AB -> AAB left-replication form grammar.
 __version__ = "0.1.0"
 
 from .climax import ClimaxProfile, climax_profile, locate_climax, salience_curve
-from .config import AnalysisConfig, load_config
+from .config import AnalysisConfig
 from .errors import (AnalysisError, ArcformError, GrammarError, MidiError,
                      NotesParseError, ScoreFormatError)
 from .grammar import (Derivation, FormTree, Leaf, Node, SonataAlignment,

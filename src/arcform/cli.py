@@ -42,14 +42,14 @@ def load_piece(path: str) -> Piece:
 def _effective_config(args: argparse.Namespace) -> AnalysisConfig:
     """Defaults, then the --config file, then the flags. The config is
     built once, so it is validated whole, never a partial override."""
-    settings = read_settings(args.config) if args.config else {}
-    if args.weights:
+    settings = read_settings(args.config) if args.config is not None else {}
+    if args.weights is not None:
         values = args.weights.split(",")
         if len(values) != 3:
             raise ArcformError("--weights needs three comma-separated values")
         for key, value in zip(("w_pitch", "w_density", "w_velocity"), values):
             settings[key] = parse_setting(key, value, "--weights")
-    if args.window:
+    if args.window is not None:
         settings["window"] = parse_setting("window", args.window, "--window")
     if getattr(args, "threshold", None) is not None:
         settings["threshold"] = parse_setting("threshold", args.threshold,
@@ -58,7 +58,7 @@ def _effective_config(args: argparse.Namespace) -> AnalysisConfig:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+    if out is not None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)

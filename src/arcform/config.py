@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import AnalysisError, ArcformError
 
-__all__ = ["AnalysisConfig", "DEFAULTS", "check_weights", "load_config",
-           "parse_setting", "read_settings"]
+__all__ = ["AnalysisConfig", "DEFAULTS", "check_weights", "parse_setting",
+           "read_settings"]
 
 
 def check_weights(weights: Sequence[float], count: int) -> None:
@@ -96,8 +96,3 @@ def read_settings(path: str) -> Dict[str, object]:
         key, value = key.strip(), value.strip()
         settings[key] = parse_setting(key, value, f"{path}:{lineno}")
     return settings
-
-
-def load_config(path: str, base: Optional[AnalysisConfig] = None) -> AnalysisConfig:
-    """Read a key=value config file on top of the defaults."""
-    return replace(base or DEFAULTS, **read_settings(path))

@@ -346,11 +346,11 @@ def chromaticism_index(segment: Part, key: Optional[Tuple[int, str]]) -> Fractio
     if key is None:
         raise AnalysisError(
             "no key available: supply one or run estimate_key")
-    if not segment.events:
+    if not len(segment):
         raise AnalysisError("empty segment")
     scale = diatonic_set(key)
-    outside = sum(1 for e in segment.events if e.pitch % 12 not in scale)
-    return Fraction(outside, len(segment.events))
+    outside = sum(pitch % 12 not in scale for pitch in segment.pitches)
+    return Fraction(outside, len(segment))
 
 
 NATURAL_MINOR_SET = frozenset({0, 2, 3, 5, 7, 8, 10})
@@ -365,18 +365,18 @@ def estimate_key(piece: Piece) -> Tuple[int, str]:
     pitch class. Mode outranks tonic so the result is transposition
     covariant.
     """
-    events = piece.all_events()
-    if not events:
+    _, onsets, ends = piece.timeline
+    if not onsets:
         raise AnalysisError("empty piece")
-    mass = [Fraction(0)] * 12
-    for e in events:
-        mass[e.pitch % 12] += e.duration
+    mass = [0] * 12  # in the piece's ticks, so equal masses tie exactly
+    for pitch, onset, end in zip(piece.column("pitches"), onsets, ends):
+        mass[pitch % 12] += end - onset
     best = None
     for tonic in range(12):
         for mode in ("major", "minor"):
             base = MAJOR_SET if mode == "major" else NATURAL_MINOR_SET
             scale = frozenset((pc + tonic) % 12 for pc in base)
-            score = sum((mass[pc] for pc in scale), Fraction(0))
+            score = sum(mass[pc] for pc in scale)
             rank = (-score, 0 if mode == "major" else 1, tonic)
             if best is None or rank < best[0]:
                 best = (rank, (tonic, mode))
@@ -390,19 +390,18 @@ def classify_cadence(piece: Piece,
     if key is None:
         raise AnalysisError(
             "no key available: supply one or run estimate_key")
-    events = piece.all_events()
-    onsets: dict[Fraction, list] = {}
-    for e in events:
-        onsets.setdefault(e.onset, []).append(e)
-    if len(onsets) < 2:
+    _, onsets, _ = piece.timeline
+    chords: dict[int, set] = {}  # onset tick -> pitches of the notes there
+    for onset, pitch in zip(onsets, piece.column("pitches")):
+        chords.setdefault(onset, set()).add(pitch)
+    if len(chords) < 2:
         raise AnalysisError("cadence undecidable")
-    penult_onset, final_onset = sorted(onsets)[-2:]
-    penult, final = onsets[penult_onset], onsets[final_onset]
-    if len({e.pitch for e in penult}) < 2 or len({e.pitch for e in final}) < 2:
+    penult, final = (chords[t] for t in sorted(chords)[-2:])
+    if len(penult) < 2 or len(final) < 2:
         raise AnalysisError("cadence undecidable")
     tonic, _ = key
-    penult_degree = (min(e.pitch for e in penult) - tonic) % 12
-    final_degree = (min(e.pitch for e in final) - tonic) % 12
+    penult_degree = (min(penult) - tonic) % 12
+    final_degree = (min(final) - tonic) % 12
     if penult_degree == 7 and final_degree == 0:
         return "authentic"
     if penult_degree == 5 and final_degree == 0:

@@ -21,6 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .errors import AnalysisError, MidiError, NotesParseError
 
 __all__ = [
+    "MAX_SCALE_BITS",
     "NoteEvent",
     "Part",
     "Piece",
@@ -36,6 +37,7 @@ _LETTER_PC = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 _PC_NAME = {0: "C", 1: "C#", 2: "D", 3: "D#", 4: "E", 5: "F", 6: "F#",
             7: "G", 8: "G#", 9: "A", 10: "A#", 11: "B"}
 _MODES = ("major", "minor")
+MAX_SCALE_BITS = 1024  # of a .notes tick scale; a MIDI division takes 15
 
 
 def parse_key_name(tonic: str, mode: str) -> Tuple[int, str]:
@@ -237,21 +239,6 @@ class Piece:
         return tuple(e for p in self.parts for e in p.events)
 
 
-def _parse_beat(token: str, memo: dict[str, Tuple[int, int]]) -> Tuple[int, int]:
-    """A beat token as its reduced (numerator, denominator), with a
-    positive denominator, stored in `memo` for the token's next use:
-    durations repeat heavily and onsets repeat across voices."""
-    if "/" in token:
-        num, den = map(int, token.split("/", 1))
-        if not den:
-            raise ZeroDivisionError(f"beat {token!r}")
-        unit = gcd(num, den) if den > 0 else -gcd(num, den)
-        value = memo[token] = (num // unit, den // unit)
-    else:
-        value = memo[token] = (int(token), 1)
-    return value
-
-
 def parse_text(source: str) -> Piece:
     """Parse the canonical .notes text format into a Piece."""
     key: Optional[Tuple[int, str]] = None
@@ -260,6 +247,28 @@ def parse_text(source: str) -> Piece:
     # velocity, one note after another in one flat list
     by_voice: defaultdict[int, list] = defaultdict(list)
     beats: dict[str, Tuple[int, int]] = {}
+    scale = 1  # the lcm of the denominators in `beats`
+
+    def parse_beat(token: str) -> Tuple[int, int]:
+        """A new beat token as its reduced (numerator, denominator), with
+        a positive denominator, kept in `beats` for the token's next use:
+        durations repeat heavily and onsets repeat across voices."""
+        nonlocal scale
+        if "/" in token:
+            num, den = map(int, token.split("/", 1))
+            if not den:
+                raise ZeroDivisionError(f"beat {token!r}")
+            unit = gcd(num, den) if den > 0 else -gcd(num, den)
+            num, den = num // unit, den // unit
+        else:
+            num, den = int(token), 1
+        scale = lcm(scale, den)
+        if scale.bit_length() > MAX_SCALE_BITS:
+            raise NotesParseError(f"beats need a {scale.bit_length()}-bit "
+                                  f"tick scale, over {MAX_SCALE_BITS}", lineno)
+        value = beats[token] = (num, den)
+        return value
+
     for lineno, raw in enumerate(source.splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
@@ -288,8 +297,8 @@ def parse_text(source: str) -> Piece:
         if not 3 <= len(fields) <= 5:
             raise NotesParseError("wrong field count", lineno)
         try:
-            onset = beats.get(fields[0]) or _parse_beat(fields[0], beats)
-            duration = beats.get(fields[1]) or _parse_beat(fields[1], beats)
+            onset = beats.get(fields[0]) or parse_beat(fields[0])
+            duration = beats.get(fields[1]) or parse_beat(fields[1])
             pitch = int(fields[2])
             velocity = int(fields[3]) if len(fields) >= 4 else 64
             voice = int(fields[4]) if len(fields) >= 5 else 0
@@ -301,7 +310,6 @@ def parse_text(source: str) -> Piece:
             raise NotesParseError(str(exc), lineno) from exc
         by_voice[voice].extend((fields[0], fields[1], pitch, velocity))
     # every beat in ticks of one scale; each part then reduces its own
-    scale = lcm(*{den for _, den in beats.values()})
     ticks_of = {token: num * (scale // den)
                 for token, (num, den) in beats.items()}.__getitem__
     parts = []

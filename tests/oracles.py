@@ -7,7 +7,9 @@ event instead of prefix integrals, a scan of every event at every
 boundary instead of a heap sweep, every recurrence window scored from
 scratch instead of one pass per window start, a MIDI reader that builds
 each note's `Fraction`s as it closes, a recursive-descent tree parser
-instead of an explicit stack, and a from-scratch MIDI byte writer.
+instead of an explicit stack, a from-scratch MIDI byte writer, and
+tonal analyses that read each note as a `NoteEvent` with `Fraction`
+times instead of the integer columns.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import struct
 import warnings
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
-from arcform.errors import GrammarError
+from arcform.errors import AnalysisError, GrammarError
 from arcform.grammar import FormTree, Leaf, Node
-from arcform.recurrence import IntervalProfile, RecurrenceMatch, RecurrenceSeries
+from arcform.recurrence import (IntervalProfile, RecurrenceMatch,
+                                RecurrenceSeries, diatonic_set)
 from arcform.score import NoteEvent, Part, Piece
 
 
@@ -228,6 +231,50 @@ def oracle_find_recurrences(piece: Piece, query: Part, threshold: float,
             outlier = at_max[0]
     return RecurrenceSeries(IntervalProfile(q_steps, q_ratios), matches,
                             outlier)
+
+
+def oracle_chromaticism_index(segment: Part,
+                              key: Optional[Tuple[int, str]]) -> Fraction:
+    """Fraction of the segment's `NoteEvent`s whose pitch class falls
+    outside the key."""
+    if key is None:
+        raise AnalysisError(
+            "no key available: supply one or run estimate_key")
+    if not segment.events:
+        raise AnalysisError("empty segment")
+    scale = diatonic_set(key)
+    outside = sum(1 for e in segment.events if e.pitch % 12 not in scale)
+    return Fraction(outside, len(segment.events))
+
+
+def oracle_classify_cadence(piece: Piece,
+                            key: Optional[Tuple[int, str]] = None) -> str:
+    """The final cadence by the bass of the last two `Fraction` onsets
+    over every `NoteEvent`: authentic/plagal/half/other."""
+    key = key if key is not None else piece.key
+    if key is None:
+        raise AnalysisError(
+            "no key available: supply one or run estimate_key")
+    events = piece.all_events()
+    onsets: dict = {}
+    for e in events:
+        onsets.setdefault(e.onset, []).append(e)
+    if len(onsets) < 2:
+        raise AnalysisError("cadence undecidable")
+    penult_onset, final_onset = sorted(onsets)[-2:]
+    penult, final = onsets[penult_onset], onsets[final_onset]
+    if len({e.pitch for e in penult}) < 2 or len({e.pitch for e in final}) < 2:
+        raise AnalysisError("cadence undecidable")
+    tonic, _ = key
+    penult_degree = (min(e.pitch for e in penult) - tonic) % 12
+    final_degree = (min(e.pitch for e in final) - tonic) % 12
+    if penult_degree == 7 and final_degree == 0:
+        return "authentic"
+    if penult_degree == 5 and final_degree == 0:
+        return "plagal"
+    if final_degree == 7:
+        return "half"
+    return "other"
 
 
 def _oracle_varlen(data: bytes, pos: int):

@@ -108,9 +108,9 @@ def test_criterion_5_chorale_case_study(fixtures_dir):
     assert len(series.matches) == 5
     assert series.outlier_index == 4
 
-    part = piece.parts[0]
     chroma = []
     for m in series.matches:
+        part = next(p for p in piece.parts if p.voice == m.part)
         events = tuple(e for e in part.events if m.start <= e.onset < m.end)
         segment = Part(part.voice, events)
         key = estimate_key(Piece(parts=(segment,)))

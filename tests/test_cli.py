@@ -158,6 +158,10 @@ def test_config_echo_round_trips(fixtures_dir):
     ("--weights", "a,b,c", "--weights: bad value for w_pitch"),
     ("--weights", "0.5,0.5", "--weights needs three comma-separated values"),
     ("--threshold", "abc", "--threshold: bad value for threshold"),
+    ("--window", "", "--window: bad value for window"),
+    ("--weights", "", "--weights needs three comma-separated values"),
+    ("--config", "", "No such file or directory: ''"),
+    ("--out", "", "Is a directory"),
 ])
 def test_bad_flag_value_exit_2(fixtures_dir, flag, value, message):
     res = run_cli("analyze", fixtures_dir / "fixture_fig1.notes", flag, value)
@@ -193,6 +197,37 @@ def test_window_with_exponent_exit_2_at_once(fixtures_dir, tmp_path, capsys,
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def prime_probe(count):
+    """Note i at onset i + 1/p_i, p_i the i-th prime, in two voices."""
+    sieve = bytearray([1]) * 40_000
+    for n in range(2, 200):
+        if sieve[n]:
+            sieve[n * n::n] = bytes(len(range(n * n, 40_000, n)))
+    primes = [n for n in range(2, 40_000) if sieve[n]][:count]
+    return "".join(f"{i * p + 1}/{p} 1 {60 + i % 12} 64 {i % 2}\n"
+                   for i, p in enumerate(primes))
+
+
+def digits_probe(count):
+    """Notes over distinct odd 300-digit denominators, the first two
+    coprime."""
+    dens = [10 ** 299 + 2 * i + 1 for i in range(count)]
+    return "".join(f"{i * d + 1}/{d} 1 60\n" for i, d in enumerate(dens))
+
+
+@pytest.mark.parametrize("source, line", [(prime_probe(4000), 132),
+                                          (digits_probe(300), 2)])
+def test_tick_scale_over_the_bound_exit_2(tmp_path, capsys, source, line):
+    score = tmp_path / "probe.notes"
+    score.write_text(source)
+    start = time.perf_counter()
+    code = main(["climax", str(score), "--window", "8"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "-bit tick scale, over 1024" in err and f"line {line}\n" in err
 
 
 @pytest.mark.parametrize("name", ["score.notes", "a.cfg"])

@@ -12,6 +12,7 @@ whole field for a hostile value.
 import contextlib
 import io
 import re
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from arcform.cli import main
 from arcform.config import read_settings
 from arcform.errors import ArcformError, NotesParseError, ScoreFormatError
-from arcform.score import import_midi, parse_text
+from arcform.score import MAX_SCALE_BITS, import_midi, parse_text
 
 from oracles import midi_file
 
@@ -177,6 +178,27 @@ def test_cli_exit_codes_over_mutated_inputs(work_dir, target, data):
     for command in (["recur", score, "--query", QUERY], ["analyze", score],
                     ["climax", score, "--csv"]):
         assert run_main([*command, *config]) in EXIT_CODES
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 1 << 64) | st.integers(1 << 200, 1 << 700), st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 7), st.booleans()),
+    min_size=1, max_size=8))
+def test_cli_exit_codes_over_large_coprime_denominators(work_dir, base,
+                                                         notes):
+    # denominators base + k for small k share at most a factor of their
+    # difference, so a few large ones take the tick scale past
+    # MAX_SCALE_BITS, and then every command must exit 2
+    dens = [base + k for k, _, _ in notes]
+    score = work_dir / "big.notes"
+    score.write_text("".join(
+        f"{whole * d + 1}/{d} {f'1/{d}' if short else 1} 60 64 {i % 2}\n"
+        for i, (d, (_, whole, short)) in enumerate(zip(dens, notes))))
+    over = lcm(*dens).bit_length() > MAX_SCALE_BITS
+    for command in (["recur", str(score), "--query", QUERY],
+                    ["analyze", str(score)], ["climax", str(score), "--csv"]):
+        code = run_main(command)
+        assert code == 2 if over else code in EXIT_CODES
 
 
 form_strings = st.text(st.one_of(st.sampled_from("ABC"), st.characters()),

@@ -4,15 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcform import (AnalysisError, NoteEvent, Part, Piece,
-                     chromaticism_index, classify_cadence, estimate_key,
-                     find_recurrences, interval_profile, parse_text,
-                     similarity, skyline)
+                     chromaticism_index, classify_cadence, climax_profile,
+                     estimate_key, find_recurrences, interval_profile,
+                     parse_text, similarity, skyline)
 from arcform.recurrence import (MAJOR_SET, NATURAL_MINOR_SET,
                                 IntervalProfile, _lane_width,
                                 _packed_distances, _read_lanes, _score,
                                 _weight_ticks)
 
-from oracles import (oracle_find_recurrences, oracle_similarity,
+from oracles import (oracle_chromaticism_index, oracle_classify_cadence,
+                     oracle_find_recurrences, oracle_similarity,
                      oracle_skyline, recursive_edit_distance)
 
 
@@ -377,9 +378,55 @@ def test_chromaticism_requires_key():
         chromaticism_index(Part(0, ()), (0, "major"))
 
 
+# Parts of one piece on different tick scales: each voice counts in its
+# own unit (thirds in one, quarters in another), on a short grid, so
+# voices share onsets at whole beats and the piece's timeline rescales
+# every part. A narrow pitch range makes unison closes, so cadences are
+# often undecidable, and a part may be empty.
+_UNITS = st.sampled_from([Fraction(1, 3), Fraction(1, 4), Fraction(1, 2),
+                          Fraction(1)])
+_KEYS = st.none() | st.tuples(st.integers(0, 11),
+                              st.sampled_from(["major", "minor"]))
+
+
+@st.composite
+def mixed_scale_parts(draw, voice, unit):
+    notes = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(1, 6),
+                                    st.integers(55, 67)), max_size=10))
+    return Part(voice, tuple(NoteEvent(unit * on, unit * dur, pitch, 64, voice)
+                             for on, dur, pitch in notes))
+
+
+@st.composite
+def mixed_scale_pieces(draw, max_parts=3):
+    units = draw(st.lists(_UNITS, min_size=1, max_size=max_parts))
+    return Piece(parts=tuple(draw(mixed_scale_parts(v, unit))
+                             for v, unit in enumerate(units)),
+                 key=draw(_KEYS))
+
+
+def outcome(function, *args):
+    """The result of a call, or the message of its AnalysisError."""
+    try:
+        return function(*args)
+    except AnalysisError as exc:
+        return ("AnalysisError", str(exc))
+
+
+@given(mixed_scale_pieces(), _KEYS)
+@settings(max_examples=150)
+def test_chromaticism_matches_oracle_on_mixed_scales(piece, key):
+    for part in piece.parts:
+        result = outcome(chromaticism_index, part, key)
+        assert result == outcome(oracle_chromaticism_index, part, key)
+        assert type(result) in (Fraction, tuple)
+
+
 # --- estimate_key -------------------------------------------------------------
 
 def brute_force_key(piece):
+    """The best of the 24 keys by sorting them all, with mass summed as
+    `Fraction` beats over every `NoteEvent`."""
     mass = {}
     for e in piece.all_events():
         mass[e.pitch % 12] = mass.get(e.pitch % 12, Fraction(0)) + e.duration
@@ -413,10 +460,34 @@ def test_estimate_key_tie_break_on_natural_minor_scale():
     assert estimate_key(piece) == (0, "major")
 
 
-@given(st.lists(st.integers(36, 84), min_size=1, max_size=16))
-@settings(max_examples=50)
-def test_estimate_key_matches_brute_force(pitches):
-    piece = Piece(parts=(melody(pitches),))
+@st.composite
+def equal_mass_pieces(draw):
+    """Pitch classes that each sound for one beat in all, as three thirds
+    in voice 0 or four quarters in voice 1, so many keys tie, and they
+    tie only if the two voices' masses are summed on one exact scale."""
+    pcs = draw(st.lists(st.integers(0, 11), min_size=1, max_size=12,
+                        unique=True))
+    thirds, quarters = [], []
+    for pc in pcs:
+        pitch = pc + 12 * draw(st.integers(4, 6))
+        count = draw(st.sampled_from([3, 4]))
+        notes = thirds if count == 3 else quarters
+        for _ in range(count):
+            notes.append(NoteEvent(Fraction(len(notes), count),
+                                   Fraction(1, count), pitch))
+    return Piece(parts=(Part(0, thirds), Part(1, quarters)))
+
+
+@given(st.one_of(
+    st.lists(st.integers(36, 84), min_size=1, max_size=16).map(
+        lambda pitches: Piece(parts=(melody(pitches),))),
+    mixed_scale_pieces(), equal_mass_pieces()))
+@settings(max_examples=150)
+def test_estimate_key_matches_brute_force(piece):
+    if not piece.all_events():
+        with pytest.raises(AnalysisError, match="^empty piece$"):
+            estimate_key(piece)
+        return
     assert estimate_key(piece) == brute_force_key(piece)
 
 
@@ -467,6 +538,40 @@ def test_cadence_requires_key():
         classify_cadence(piece)
 
 
+@st.composite
+def closed_pieces(draw):
+    """A mixed-scale piece and a key. With a key, the voices add a close
+    at two whole beats, mostly after every other onset: a bass on the
+    key's 5th, 4th or 2nd degree, then on its 1st, 5th or 3rd, each with
+    one to three notes above it (or in unison with it) spread over the
+    voices."""
+    piece = draw(mixed_scale_pieces())
+    key = draw(_KEYS)
+    if key is None:
+        return piece, key
+    parts = [list(part.events) for part in piece.parts]
+    close = sorted(draw(st.sets(st.integers(10, 16), min_size=2, max_size=2)))
+    for onset, degrees in zip(close, ((7, 5, 2), (0, 7, 4))):
+        bass = 48 + (key[0] + draw(st.sampled_from(degrees))) % 12
+        for pitch in [bass, *draw(st.lists(st.integers(bass, bass + 16),
+                                           min_size=1, max_size=3))]:
+            voice = draw(st.integers(0, len(parts) - 1))
+            parts[voice].append(NoteEvent(onset, 1, pitch, 64, voice))
+    return Piece(parts=tuple(Part(voice, events)
+                             for voice, events in enumerate(parts)),
+                 key=piece.key), key
+
+
+@given(closed_pieces())
+@settings(max_examples=200)
+def test_classify_cadence_matches_oracle_on_mixed_scales(case):
+    piece, key = case
+    assert outcome(classify_cadence, piece, key) == \
+        outcome(oracle_classify_cadence, piece, key)
+    assert outcome(classify_cadence, piece) == \
+        outcome(oracle_classify_cadence, piece)
+
+
 # --- the encoded chorale fixture ----------------------------------------------
 
 def test_fixture_chorale_series(fixtures_dir):
@@ -483,3 +588,17 @@ def test_fixture_cadences_both_plagal(fixtures_dir):
     oratorio = parse_text((fixtures_dir / "oratorio_close_5.notes").read_text())
     assert classify_cadence(passion) == "plagal"
     assert classify_cadence(passion) == classify_cadence(oratorio)
+
+
+def test_no_analysis_builds_note_events(fixtures_dir):
+    piece = parse_text((fixtures_dir / "passion_close_62.notes").read_text())
+    query = skyline(parse_text(
+        (fixtures_dir / "chorale_query.notes").read_text()))
+    line = skyline(piece)
+    climax_profile(piece)
+    find_recurrences(piece, query)
+    key = estimate_key(piece)
+    classify_cadence(piece, key)
+    chromaticism_index(line, key)
+    for part in (*piece.parts, query, line):
+        assert "events" not in vars(part)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from arcform import (AnalysisError, MidiError, NoteEvent, NotesParseError,
                      Part, Piece, import_midi, parse_text, serialize_text,
                      skyline)
+from arcform.score import MAX_SCALE_BITS
 
 from oracles import midi_file, oracle_import_midi
 
@@ -52,6 +53,21 @@ def test_parse_zero_duration_rejected():
 def test_parse_errors(source, fragment):
     with pytest.raises(NotesParseError, match=fragment):
         parse_text(source)
+
+
+def test_tick_scale_bound_edge():
+    # a denominator of 2**1023 needs a 1024-bit scale, the most allowed
+    assert MAX_SCALE_BITS == 1024
+    piece = parse_text(f"1/{2 ** 1023} 1 60\n0 1/{2 ** 1023} 62\n")
+    assert piece.parts[0].scale == 2 ** 1023
+    with pytest.raises(NotesParseError,
+                       match="1025-bit tick scale, over 1024, line 1$"):
+        parse_text(f"1/{2 ** 1024} 1 60\n")
+    # the scale is the lcm of every token so far, across voices
+    with pytest.raises(NotesParseError,
+                       match="1025-bit tick scale, over 1024, line 3$"):
+        parse_text(f"1/{2 ** 1023} 1 60 64 0\n1 1/{2 ** 1023} 60\n"
+                   f"0 1/3 62 64 1\n")
 
 
 def test_comments_and_blanks_skipped():
