@@ -42,6 +42,8 @@ def load_piece(path: str) -> Piece:
 def _effective_config(args: argparse.Namespace) -> AnalysisConfig:
     """Defaults, then the --config file, then the flags. The config is
     built once, so it is validated whole, never a partial override."""
+    if args.config == "":
+        raise ArcformError("--config: empty path")
     settings = read_settings(args.config) if args.config is not None else {}
     if args.weights is not None:
         values = args.weights.split(",")
@@ -58,6 +60,8 @@ def _effective_config(args: argparse.Namespace) -> AnalysisConfig:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    if out == "":
+        raise ArcformError("--out: empty path")
     if out is not None:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -82,11 +86,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         if getattr(args, "csv", False):
             _emit(curve_csv(climax), args.out)
             return EXIT_OK
-    if getattr(args, "query", None):
+    if getattr(args, "query", None) is not None:
         query = skyline(load_piece(args.query))
         sections["recurrence"] = find_recurrences(
             piece, query, config.threshold, config.similarity_weights)
-    if getattr(args, "form", None):
+    if getattr(args, "form", None) is not None:
         form = sections["form"] = _form_section(args.form, args.seed)
         steps = form["minimal_steps"]
         if steps != "not derivable":

@@ -216,12 +216,15 @@ def find_recurrences(piece: Piece, query: Part,
     greedily by descending similarity.
 
     The window of `length` notes from note `start` has the interval profile
-    of the skyline sliced to [start, start + length - 1). One packed
-    bit-vector pass per part and symbol stream runs the query from every
-    start at once, one start per lane, and its step t gives every window
-    of t + 1 notes: a part of n skyline notes takes ceil(1.5 q) - 1 packed
-    steps, O(n * q * w / 64) word operations for a q-note query and w-bit
-    lanes, and Python work only per lane that survives the bounds below.
+    of the skyline sliced to [start, start + length - 1). The parts'
+    skylines are laid end to end in one line of n notes, and one packed
+    bit-vector pass per symbol stream runs the query from every note at
+    once, one start per lane: its step t gives every window of t + 1
+    notes, and a mask of each part's last-note lane, shifted down one lane
+    per step, clears the windows that would run into the next part. The
+    piece takes min(ceil(1.5 q), longest skyline) - 1 packed steps,
+    O(n * q * w / 64) word operations for a q-note query and w-bit lanes,
+    and Python work only per lane that survives the bounds below.
     """
     if len(query) < 2:
         raise AnalysisError("query shorter than 2 notes")
@@ -254,72 +257,93 @@ def find_recurrences(piece: Piece, query: Part,
                 d, 0, denom, weight, 0, den) < threshold)
             for weight in (n_pitch, n_rhythm))
 
-    # spans are compared in the piece's ticks, since parts that share a
-    # voice number can have skylines of different scales
+    # Every part's skyline goes into one piece-wide line, note s in lane
+    # s. Each part's step and ratio streams end in a pad symbol (None, which
+    # no query symbol equals), so a part's last note still has a lane. Spans
+    # are in the piece's ticks, since parts that share a voice number can
+    # have skylines of different scales.
     scale = piece.timeline[0]
-    candidates = []
+    voices: List[int] = []
+    onsets: List[int] = []
+    ends: List[int] = []
+    steps: List[Optional[int]] = []
+    ratios: List[Optional[int]] = []
+    part_ends = 0  # the high bit of each part's last-note lane
+    longest = 0
     for part in piece.parts:
         if not len(part):
             continue
         line = skyline(Piece(parts=(part,)))
-        lanes = len(line) - lo + 1  # window starts
-        if lanes < 1:
+        if len(line) < lo:
             continue
         pitches, durations = line.pitches, line.durations
         to_piece = scale // line.scale
-        onsets = [tick * to_piece for tick in line.onsets]
-        ends = [tick + d * to_piece for tick, d in zip(onsets, durations)]
-        steps = list(map(sub, pitches[1:], pitches))
-        ratios = []
+        line_onsets = [tick * to_piece for tick in line.onsets]
+        onsets += line_onsets
+        ends += [tick + d * to_piece
+                 for tick, d in zip(line_onsets, durations)]
+        voices += [part.voice] * len(line)
+        steps += map(sub, pitches[1:], pitches)
+        steps.append(None)
         for a, b in zip(durations, durations[1:]):
             g = gcd(a, b)
             ratios.append(ratio_ids.setdefault((b // g, a // g),
                                                len(ratio_ids)))
-        low = _low_bits(lanes, width)
-        high = low << (width - 1)
-        last = min(hi, len(line)) - 1
-        passes = zip(_packed_distances(qprof.steps, steps, lanes, last),
-                     _packed_distances(q_ratios, ratios, lanes, last))
-        for t, (d_steps, d_ratios) in enumerate(passes, 1):
-            if t + 1 < lo:
-                continue
-            denom = max(qlen, t)
-            cut_steps, cut_ratios = cuts[denom]
-            # SWAR compare: a lane keeps its high bit in (d | high) - cut
-            # exactly when d >= cut
-            fails = (((d_steps | high) - cut_steps * low)
-                     | ((d_ratios | high) - cut_ratios * low))
-            fits = len(line) - t  # lanes whose window ends in the line
-            keep = high & ~fails & ((1 << fits * width) - 1)
-            if not keep:
-                continue
-            for start, ds, dr in compress(
-                    zip(range(fits), _read_lanes(d_steps, lanes, width),
-                        _read_lanes(d_ratios, lanes, width)),
-                    _read_lanes(keep >> (width - 1), lanes, width)):
-                key = (ds, dr, denom)
-                sim = scores.get(key)
-                if sim is None:
-                    sim = scores[key] = _score(*key, *weight_ticks)
-                if sim >= threshold:
-                    candidates.append((sim, part.voice, onsets[start],
-                                       ends[start + t]))
+        ratios.append(None)
+        part_ends |= 1 << (len(onsets) * width - 1)
+        longest = max(longest, len(line))
+
+    lanes = len(onsets)
+    low = _low_bits(lanes, width)
+    high = low << (width - 1)
+    last = min(hi, longest) - 1
+    passes = zip(_packed_distances(qprof.steps, steps, lanes, last),
+                 _packed_distances(q_ratios, ratios, lanes, last))
+    # at step t a window from note s would run into the next part when one
+    # of notes s .. s + t - 1 is its part's last: `part_ends` shifted down
+    # 0 .. t - 1 lanes
+    crossing = 0
+    candidates = []
+    for t, (d_steps, d_ratios) in enumerate(passes, 1):
+        crossing = (crossing >> width) | part_ends
+        if t + 1 < lo:
+            continue
+        denom = max(qlen, t)
+        cut_steps, cut_ratios = cuts[denom]
+        # SWAR compare: a lane keeps its high bit in (d | high) - cut
+        # exactly when d >= cut
+        fails = (((d_steps | high) - cut_steps * low)
+                 | ((d_ratios | high) - cut_ratios * low))
+        keep = high & ~(fails | crossing)
+        if not keep:
+            continue
+        lane_steps = _read_lanes(d_steps, lanes, width)
+        lane_ratios = _read_lanes(d_ratios, lanes, width)
+        for start in compress(range(lanes), _read_lanes(keep >> (width - 1),
+                                                        lanes, width)):
+            key = (lane_steps[start], lane_ratios[start], denom)
+            sim = scores.get(key)
+            if sim is None:
+                sim = scores[key] = _score(*key, *weight_ticks)
+            if sim >= threshold:
+                candidates.append((-sim, voices[start], onsets[start],
+                                   ends[start + t]))
 
     # greedy by descending similarity; a candidate overlapping a chosen
     # one in the same voice is dropped. The chosen spans of one voice are
     # disjoint, so sorted by start they are sorted by end too, and only
     # the last one starting before a candidate ends can overlap it.
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2], c[3]))
+    candidates.sort()
     spans: Dict[int, Tuple[List[int], List[int]]] = {}
     chosen: list[Tuple[float, int, Fraction, Fraction]] = []
-    for sim, voice, start, end in candidates:
+    for neg_sim, voice, start, end in candidates:
         starts, stops = spans.setdefault(voice, ([], []))
         k = bisect_left(starts, end)
         if k and stops[k - 1] > start:
             continue
         starts.insert(k, start)
         stops.insert(k, end)
-        chosen.append((sim, voice, Fraction(start, scale),
+        chosen.append((-neg_sim, voice, Fraction(start, scale),
                        Fraction(end, scale)))
     chosen.sort(key=lambda c: (c[2], c[1]))
 

@@ -460,11 +460,19 @@ def skyline(piece: Piece) -> Part:
     then the first in `all_events()` order). One sweep over the sorted
     boundaries keeps the sounding events in a max-heap and drops those that
     have ended only when they reach its top: O(n log n) for n events. The
-    sweep and its output stay in the piece's integer ticks.
+    sweep and its output stay in the piece's integer ticks. A piece of one
+    monophonic part is its own line: no two of its notes sound together,
+    so the sweep would return its notes unchanged, as voice 0.
     """
-    scale, onsets, ends = piece.timeline
-    if not onsets:
+    parts = piece.parts
+    if not any(map(len, parts)):
         raise AnalysisError("empty piece")
+    if len(parts) == 1 and parts[0].is_monophonic():
+        part = parts[0]
+        return Part._from_columns(0, part.scale, [
+            part.onsets, part.durations, part.pitches, part.velocities,
+            part.voices])
+    scale, onsets, ends = piece.timeline
     pitches, velocities, voices = map(piece.column,
                                       ("pitches", "velocities", "voices"))
     boundaries = sorted(set(onsets).union(ends))

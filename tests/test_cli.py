@@ -82,6 +82,23 @@ def test_empty_seed_is_refused_exit_2(fixtures_dir, command):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize("command, message", [
+    (["recur", "fixture_fig1.notes", "--query", ""],
+     "error: unknown input extension '' for \n"),
+    (["analyze", "fixture_fig1.notes", "--query", ""],
+     "error: unknown input extension '' for \n"),
+    (["analyze", "fixture_fig1.notes", "--form", ""], "error: empty form\n"),
+], ids=["recur-query", "analyze-query", "analyze-form"])
+def test_empty_query_or_form_is_refused_exit_2(fixtures_dir, command,
+                                               message):
+    command = [fixtures_dir / arg if arg.endswith(".notes") else arg
+               for arg in command]
+    res = run_cli(*command)
+    assert res.returncode == 2
+    assert res.stderr == message
+    assert res.stdout == ""
+
+
 def test_main_twice_in_one_process(fixtures_dir, tmp_path, monkeypatch):
     """The parser is built once per process; one call's flags must not
     leak into the next call's defaults."""
@@ -160,8 +177,8 @@ def test_config_echo_round_trips(fixtures_dir):
     ("--threshold", "abc", "--threshold: bad value for threshold"),
     ("--window", "", "--window: bad value for window"),
     ("--weights", "", "--weights needs three comma-separated values"),
-    ("--config", "", "No such file or directory: ''"),
-    ("--out", "", "Is a directory"),
+    ("--config", "", "error: --config: empty path"),
+    ("--out", "", "error: --out: empty path"),
 ])
 def test_bad_flag_value_exit_2(fixtures_dir, flag, value, message):
     res = run_cli("analyze", fixtures_dir / "fixture_fig1.notes", flag, value)

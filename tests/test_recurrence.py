@@ -214,13 +214,33 @@ def tied_parts(draw, voice, min_events=0, max_events=14):
 
 
 @st.composite
-def tied_pieces(draw, max_parts=3, min_events=0, max_events=14):
+def tied_pieces(draw, max_parts=3):
     n = draw(st.integers(1, max_parts))
-    return Piece(parts=tuple(draw(tied_parts(v, min_events, max_events))
-                             for v in range(n)))
+    return Piece(parts=tuple(draw(tied_parts(v)) for v in range(n)))
 
 
-@given(tied_pieces())
+@st.composite
+def monophonic_parts(draw, voice, min_events=0, max_events=14):
+    """One note at a time, some after a rest, with the notes' own voices
+    mixed as in a skyline."""
+    notes = draw(st.lists(st.tuples(
+        st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2)]),
+        _SHORT_DURATIONS, st.integers(60, 64), st.integers(1, 127),
+        st.integers(0, 2)), min_size=min_events, max_size=max_events))
+    events = []
+    onset = Fraction(0)
+    for rest, duration, pitch, velocity, note_voice in notes:
+        onset += rest
+        events.append(NoteEvent(onset, duration, pitch, velocity, note_voice))
+        onset += duration
+    return Part(voice, tuple(events))
+
+
+@given(st.one_of(
+    tied_pieces(),
+    # one monophonic part is its own line, without the sweep
+    st.integers(0, 2).flatmap(monophonic_parts).map(
+        lambda part: Piece(parts=(part,)))))
 def test_skyline_matches_oracle(piece):
     if not piece.all_events():
         with pytest.raises(AnalysisError, match="empty"):
@@ -231,9 +251,32 @@ def test_skyline_matches_oracle(piece):
 
 @st.composite
 def recurrence_cases(draw, notes=st.integers(2, 8), max_parts=3,
-                     min_events=0, max_events=14):
+                     min_events=0, max_events=14,
+                     kinds=("tied", "line", "short", "empty")):
+    """A query of `notes` notes, and a piece whose parts may share a voice
+    number. A part of each kind: overlapping notes (its skyline takes the
+    sweep), one note at a time (it is its own skyline), fewer notes than
+    the shortest window, or none. Parts of the first two kinds have
+    `min_events` to `max_events` notes, more than the longest window for
+    a short query."""
     n = draw(notes)
-    piece = draw(tied_pieces(max_parts, min_events, max_events))
+    lo = max(2, n // 2)
+    parts = []
+    for i in range(draw(st.integers(1, max_parts))):
+        voice = draw(st.integers(0, max_parts - 1))
+        # the first part is of a kind that can hold windows
+        kind = draw(st.sampled_from(
+            kinds if i else [k for k in kinds if k in ("tied", "line")]))
+        if kind == "tied":
+            part = draw(tied_parts(voice, min_events, max_events))
+        elif kind == "line":
+            part = draw(monophonic_parts(voice, min_events, max_events))
+        elif kind == "short":
+            part = draw(monophonic_parts(voice, 1, lo - 1))
+        else:
+            part = Part(voice, ())
+        parts.append(part)
+    piece = Piece(parts=tuple(parts))
     lines = [skyline(Piece(parts=(p,))).events for p in piece.parts
              if p.events]
     lines = [line for line in lines if len(line) >= n]
@@ -266,10 +309,14 @@ def test_find_recurrences_matches_oracle(case):
 @settings(max_examples=15, deadline=None)
 def test_find_recurrences_matches_oracle_at_lane_width_edges(notes, data):
     # profiles of 1, 15, 16 and 32 intervals: the narrowest pattern and
-    # each side of the 16- and 32-bit lanes; parts of at least that many
-    # notes, so their skylines hold windows
+    # each side of the 16- and 32-bit lanes; the parts that are not empty
+    # or short have at least that many notes, so their skylines hold
+    # windows. The oracle takes seconds per 33-note query over a 49-note
+    # line, so that case draws no lines; the smaller ones do.
+    kinds = ("tied", "short", "empty") if notes > 17 else (
+        "tied", "line", "short", "empty")
     piece, query, threshold, weights = data.draw(recurrence_cases(
-        st.just(notes), 2, notes, notes + notes // 2))
+        st.just(notes), 2, notes, notes + notes // 2, kinds))
     assert find_recurrences(piece, query, threshold, weights) == \
         oracle_find_recurrences(piece, query, threshold, weights)
 
@@ -302,6 +349,20 @@ def test_parts_sharing_a_voice_compare_spans_in_beats():
     assert series == oracle_find_recurrences(piece, melody(tune), 0.6,
                                              (0.7, 0.3))
     assert [(m.start, m.end) for m in series.matches] == [(10, 14), (20, 28)]
+
+
+def test_short_part_does_not_bound_the_window_length():
+    # a 7-note part holds windows of the 12-note query (lo = 6), but the
+    # statement in the other part is 12 notes long, in either part order
+    short = melody(TUNE[:7], voice=1)
+    statement = melody(TUNE, start=3, voice=0)
+    for parts in ((short, statement), (statement, short)):
+        piece = Piece(parts=parts)
+        series = find_recurrences(piece, melody(TUNE), 1.0, (0.5, 0.5))
+        assert series == oracle_find_recurrences(piece, melody(TUNE), 1.0,
+                                                 (0.5, 0.5))
+        assert [(m.part, m.start, m.end) for m in series.matches] == \
+            [(0, 3, 15)]
 
 
 def test_planted_exact_transpositions_recovered():
