@@ -60,8 +60,6 @@ def _effective_config(args: argparse.Namespace) -> AnalysisConfig:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out == "":
-        raise ArcformError("--out: empty path")
     if out is not None:
         Path(out).write_text(text, encoding="utf-8")
     else:
@@ -239,6 +237,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out == "":  # refused before any work
+            raise ArcformError("--out: empty path")
         return args.func(args)
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -188,6 +188,14 @@ def test_bad_flag_value_exit_2(fixtures_dir, flag, value, message):
     assert res.stdout == ""
 
 
+def test_empty_out_is_refused_before_any_file_is_read(fixtures_dir):
+    # corpus_bad holds a malformed file, whose warning would come first
+    res = run_cli("corpus", fixtures_dir / "corpus_bad", "--out", "")
+    assert res.returncode == 2
+    assert res.stderr == "error: --out: empty path\n"
+    assert res.stdout == ""
+
+
 def test_bad_config_value_names_file_and_line(fixtures_dir, tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("threshold=0.9\nwindow=1/0\n")
