@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the test fixtures under tests/fixtures/.
 
+Usage: make_fixtures.py [OUT_DIR]   (default: tests/fixtures/)
+
 Everything here is constructed by hand, so the planted contents serve
 as the oracle for the tests: statement locations, the varied statement,
 the cadence basses, and the planted salience peaks are all known by
@@ -9,6 +11,7 @@ construction.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,7 +64,7 @@ def write(path: Path, lines) -> None:
     print(f"wrote {path}")
 
 
-def chorale_fixtures() -> None:
+def chorale_fixtures(out: Path) -> None:
     lines = ["@title chorale recurrence case study"]
     onset = Fraction(0)
     statement_starts = []
@@ -73,15 +76,15 @@ def chorale_fixtures() -> None:
     statement_starts.append(onset)
     events = melody_events(VARIED_TUNE, onset)
     lines += notes_lines(events)
-    write(FIXTURES / "passion_chorales.notes", lines)
+    write(out / "passion_chorales.notes", lines)
     print("statement starts:", [str(s) for s in statement_starts])
 
     query = ["@title chorale query"] + notes_lines(
         melody_events(CHORALE_TUNE, 0))
-    write(FIXTURES / "chorale_query.notes", query)
+    write(out / "chorale_query.notes", query)
 
 
-def cadence_fixtures() -> None:
+def cadence_fixtures(out: Path) -> None:
     # Final two sonorities are the load-bearing content: bass motion
     # 4 -> 1 in both keys (plagal).
     passion = [
@@ -94,7 +97,7 @@ def cadence_fixtures() -> None:
         # tonic sonority, bass C
         "2 2 64 64 0", "2 2 60 64 1", "2 2 55 64 2", "2 2 48 64 3",
     ]
-    write(FIXTURES / "passion_close_62.notes", passion)
+    write(out / "passion_close_62.notes", passion)
 
     oratorio = [
         "@title oratorio opening chorale close",
@@ -105,10 +108,10 @@ def cadence_fixtures() -> None:
         # tonic sonority, bass A
         "2 2 73 64 0", "2 2 69 64 1", "2 2 64 64 2", "2 2 45 64 3",
     ]
-    write(FIXTURES / "oratorio_close_5.notes", oratorio)
+    write(out / "oratorio_close_5.notes", oratorio)
 
 
-def fig1_fixture() -> None:
+def fig1_fixture(out: Path) -> None:
     # Slow build over two thirds of the span, fast decay after: pitch
     # rises 2 semitones per 2-beat note for 40 beats, falls 4 per note
     # for 20 beats. Peak pitch at beat 40 of 60.
@@ -125,13 +128,13 @@ def fig1_fixture() -> None:
         onset += 2
         pitch -= 4
     lines += notes_lines(events)
-    write(FIXTURES / "fixture_fig1.notes", lines)
+    write(out / "fixture_fig1.notes", lines)
 
 
-def corpus_fixtures() -> None:
-    corpus = FIXTURES / "corpus"
+def corpus_fixtures(out: Path) -> None:
+    corpus = out / "corpus"
     corpus.mkdir(exist_ok=True)
-    corpus_bad = FIXTURES / "corpus_bad"
+    corpus_bad = out / "corpus_bad"
     corpus_bad.mkdir(exist_ok=True)
     for name, peak in (("peak_early", 10), ("peak_mid", 20),
                        ("peak_late", 30)):
@@ -146,13 +149,14 @@ def corpus_fixtures() -> None:
     write(corpus_bad / "corrupt.notes", ["0 0 60"])
 
 
-def main() -> None:
-    FIXTURES.mkdir(parents=True, exist_ok=True)
-    chorale_fixtures()
-    cadence_fixtures()
-    fig1_fixture()
-    corpus_fixtures()
+def main(argv: list[str]) -> None:
+    out = Path(argv[0]) if argv else FIXTURES
+    out.mkdir(parents=True, exist_ok=True)
+    chorale_fixtures(out)
+    cadence_fixtures(out)
+    fig1_fixture(out)
+    corpus_fixtures(out)
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

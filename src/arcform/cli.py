@@ -6,6 +6,7 @@ import argparse
 import functools
 import statistics
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, List, Optional
@@ -35,7 +36,14 @@ def load_piece(path: str) -> Piece:
             raise ScoreFormatError(f"{path}: not UTF-8 text") from exc
         return parse_text(text)
     if suffix in (".mid", ".midi"):
-        return import_midi(p.read_bytes())
+        data = p.read_bytes()
+        # the importer's repair warnings, each named by its file
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            piece = import_midi(data)
+        for warning in caught:
+            print(f"warning: {path}: {warning.message}", file=sys.stderr)
+        return piece
     raise ScoreFormatError(f"unknown input extension {suffix!r} for {path}")
 
 
@@ -136,7 +144,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             piece = load_piece(str(path))
             profile = climax_profile(piece, config.salience_weights,
                                      config.window)
-        except ArcformError as exc:
+        except (ArcformError, OSError) as exc:
             skipped += 1
             print(f"warning: skipped {path.name}: {exc}", file=sys.stderr)
             continue

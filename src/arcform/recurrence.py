@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
-from operator import sub
+from operator import floordiv, sub
 from typing import (Dict, Hashable, Iterator, List, Optional, Sequence,
                     Tuple)
 
@@ -216,15 +216,16 @@ def find_recurrences(piece: Piece, query: Part,
     greedily by descending similarity.
 
     The window of `length` notes from note `start` has the interval profile
-    of the skyline sliced to [start, start + length - 1). The parts'
-    skylines are laid end to end in one line of n notes, and one packed
-    bit-vector pass per symbol stream runs the query from every note at
-    once, one start per lane: its step t gives every window of t + 1
-    notes, and a mask of each part's last-note lane, shifted down one lane
-    per step, clears the windows that would run into the next part. The
-    piece takes min(ceil(1.5 q), longest skyline) - 1 packed steps,
-    O(n * q * w / 64) word operations for a q-note query and w-bit lanes,
-    and Python work only per lane that survives the bounds below.
+    of the skyline sliced to [start, start + length - 1): semitone steps,
+    and duration ratios as reduced pairs of ticks. The parts' skylines are
+    laid end to end in one line of n notes, and one packed bit-vector pass
+    per symbol stream runs the query from every note at once, one start
+    per lane: its step t gives every window of t + 1 notes, and a mask of
+    each part's last-note lane, shifted down one lane per step, clears the
+    windows that would run past their part's last note. The piece takes
+    ceil(1.5 q) - 1 packed steps, O(n * q * w / 64) word operations for a
+    q-note query and w-bit lanes, and Python work only per lane that
+    survives the bounds below. Spans come from the skylines' timeline.
     """
     if len(query) < 2:
         raise AnalysisError("query shorter than 2 notes")
@@ -238,12 +239,6 @@ def find_recurrences(piece: Piece, query: Part,
 
     qlen = len(qprof)
     width = _lane_width(qlen)
-    # each ratio is interned to a small int by its reduced (numerator,
-    # denominator), so the passes build and hash no Fractions
-    ratio_ids: Dict[Tuple[int, int], int] = {}
-    q_ratios = [ratio_ids.setdefault((r.numerator, r.denominator),
-                                     len(ratio_ids))
-                for r in qprof.ratios]
     weight_ticks = n_pitch, n_rhythm, den = _weight_ticks(weights)
     scores: Dict[Tuple[int, int, int], float] = {}
     # The score falls as either distance grows, so a window can pass only
@@ -258,50 +253,42 @@ def find_recurrences(piece: Piece, query: Part,
             for weight in (n_pitch, n_rhythm))
 
     # Every part's skyline goes into one piece-wide line, note s in lane
-    # s. Each part's step and ratio streams end in a pad symbol (None, which
-    # no query symbol equals), so a part's last note still has a lane. Spans
-    # are in the piece's ticks, since parts that share a voice number can
-    # have skylines of different scales.
-    scale = piece.timeline[0]
+    # s. A duration ratio is its reduced (numerator, denominator) pair.
+    # Each part's step and ratio streams end in a pad symbol (None, which
+    # no query symbol equals), so a part's last note still has a lane.
+    lines: List[Part] = []
     voices: List[int] = []
-    onsets: List[int] = []
-    ends: List[int] = []
     steps: List[Optional[int]] = []
-    ratios: List[Optional[int]] = []
+    ratios: List[Optional[Tuple[int, int]]] = []
     part_ends = 0  # the high bit of each part's last-note lane
-    longest = 0
     for part in piece.parts:
         if not len(part):
             continue
         line = skyline(Piece(parts=(part,)))
         if len(line) < lo:
             continue
-        pitches, durations = line.pitches, line.durations
-        to_piece = scale // line.scale
-        line_onsets = [tick * to_piece for tick in line.onsets]
-        onsets += line_onsets
-        ends += [tick + d * to_piece
-                 for tick, d in zip(line_onsets, durations)]
+        lines.append(line)
         voices += [part.voice] * len(line)
+        pitches, d = line.pitches, line.durations
         steps += map(sub, pitches[1:], pitches)
         steps.append(None)
-        for a, b in zip(durations, durations[1:]):
-            g = gcd(a, b)
-            ratios.append(ratio_ids.setdefault((b // g, a // g),
-                                               len(ratio_ids)))
+        units = list(map(gcd, d, d[1:]))
+        ratios += zip(map(floordiv, d[1:], units), map(floordiv, d, units))
         ratios.append(None)
-        part_ends |= 1 << (len(onsets) * width - 1)
-        longest = max(longest, len(line))
+        part_ends |= 1 << (len(voices) * width - 1)
+    # spans in one scale for every line, so parts that share a voice
+    # number compare correctly
+    scale, onsets, ends = Piece(parts=tuple(lines)).timeline
 
     lanes = len(onsets)
     low = _low_bits(lanes, width)
     high = low << (width - 1)
-    last = min(hi, longest) - 1
-    passes = zip(_packed_distances(qprof.steps, steps, lanes, last),
-                 _packed_distances(q_ratios, ratios, lanes, last))
-    # at step t a window from note s would run into the next part when one
-    # of notes s .. s + t - 1 is its part's last: `part_ends` shifted down
-    # 0 .. t - 1 lanes
+    q_ratios = [(r.numerator, r.denominator) for r in qprof.ratios]
+    passes = zip(_packed_distances(qprof.steps, steps, lanes, hi - 1),
+                 _packed_distances(q_ratios, ratios, lanes, hi - 1))
+    # at step t a window from note s would run past its part's last note
+    # (into the next part, or past the end) when one of notes s .. s + t - 1
+    # is that last note: `part_ends` shifted down 0 .. t - 1 lanes
     crossing = 0
     candidates = []
     for t, (d_steps, d_ratios) in enumerate(passes, 1):

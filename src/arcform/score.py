@@ -393,6 +393,7 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Part:
                 raise MidiError("meta or sysex event runs past the end of "
                                 "its track")
             pos += length
+            status = 0  # meta and sysex events cancel running status
         else:
             kind = status & 0xF0
             channel = status & 0x0F

@@ -444,6 +444,32 @@ def test_corpus_skips_high_bit_midi(fixtures_dir, tmp_path):
         in res.stderr
 
 
+def test_corpus_skips_an_entry_it_cannot_read(fixtures_dir, tmp_path):
+    for path in (fixtures_dir / "corpus").iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / "sub.mid").mkdir()
+    res = run_cli("corpus", tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.splitlines()) == 1 + 3 + 1
+    assert "warning: skipped sub.mid: " in res.stderr
+    assert "warning: 1 file(s) skipped" in res.stderr
+
+
+def test_corpus_names_each_file_of_a_midi_repair_warning(tmp_path):
+    # the same unmatched note-on in two files: one line per file, both
+    # shown, none of them a raw Python warning or read as a skip
+    data = midi_file([[(0, [0x90, 60, 70]), (480, [0x90, 62, 70]),
+                       (480, [0x80, 62, 0])]])
+    for name in ("a.mid", "b.mid"):
+        (tmp_path / name).write_bytes(data)
+    res = run_cli("corpus", tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.splitlines()) == 1 + 2 + 1
+    assert res.stderr.splitlines() == [
+        f"warning: {tmp_path / name}: unmatched note-on (pitch 60) closed "
+        f"at track end" for name in ("a.mid", "b.mid")]
+
+
 def test_corpus_empty_directory_exit_2(tmp_path):
     res = run_cli("corpus", tmp_path)
     assert res.returncode == 2
@@ -456,6 +482,20 @@ def test_corpus_deterministic(fixtures_dir):
 
 
 # --- scripts ---------------------------------------------------------------------
+
+def test_fixture_script_reproduces_the_fixtures(fixtures_dir, tmp_path):
+    res = subprocess.run(
+        [sys.executable, PKG_ROOT / "scripts" / "make_fixtures.py", tmp_path],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    made = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    assert made == sorted(p.relative_to(fixtures_dir)
+                          for p in fixtures_dir.rglob("*"))
+    for name in made:
+        if (tmp_path / name).is_file():
+            assert (tmp_path / name).read_bytes() == \
+                (fixtures_dir / name).read_bytes(), name
+
 
 def test_demo_analysis_script_runs():
     res = subprocess.run(

@@ -244,6 +244,18 @@ def test_midi_running_status():
     assert [e.pitch for e in part.events] == [60, 62]
 
 
+@pytest.mark.parametrize("message", [
+    [0xFF, 0x01, 0x00],  # empty text meta event
+    [0xF0, 0x01, 0xF7],  # sysex event
+])
+def test_meta_and_sysex_events_cancel_running_status(message):
+    # a data byte after a meta or sysex event has no status to run on
+    data = midi_file([[(0, [0x90, 60, 70]), (0, message),
+                       (480, [60, 0])]])
+    with pytest.raises(MidiError, match="data byte without running status"):
+        import_midi(data)
+
+
 def test_midi_two_tracks_become_two_voices():
     data = midi_file([
         [(0, [0x90, 60, 70]), (480, [0x80, 60, 0])],
