@@ -68,14 +68,22 @@ def _effective_config(args: argparse.Namespace) -> AnalysisConfig:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    """UTF-8 bytes to `out`, or the same bytes to stdout in any locale."""
     if out is not None:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+        Path(out).write_bytes(text.encode("utf-8"))
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:  # a text stream with no bytes below it, such as io.StringIO
         sys.stdout.write(text)
 
 
-def _form_section(form: str, seed: str) -> Dict[str, Any]:
-    steps = recognize(form, parse_form(seed))
+def _form_section(form: Optional[str], seed: str) -> Optional[Dict[str, Any]]:
+    """The form section; the seed is checked even with no form."""
+    tree = parse_form(seed)
+    if form is None:
+        return None
+    steps = recognize(form, tree)
     return {"form": form, "seed": seed,
             "minimal_steps": "not derivable" if steps is None else steps}
 
@@ -84,6 +92,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     """analyze, climax and recur: one JSON report, whose sections the
     subcommand and its flags select (`climax --csv` emits the curve)."""
     config = _effective_config(args)
+    # analyze checks --seed and --form before any input is read
+    form = (_form_section(args.form, args.seed) if hasattr(args, "seed")
+            else None)
     piece = load_piece(args.input)
     sections: Dict[str, Any] = {}
     if args.command != "recur":
@@ -96,8 +107,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         query = skyline(load_piece(args.query))
         sections["recurrence"] = find_recurrences(
             piece, query, config.threshold, config.similarity_weights)
-    if getattr(args, "form", None) is not None:
-        form = sections["form"] = _form_section(args.form, args.seed)
+    if form is not None:
+        sections["form"] = form
         steps = form["minimal_steps"]
         if steps != "not derivable":
             # A and B at unit length: the grammar's prediction, not a

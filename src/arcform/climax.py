@@ -7,7 +7,6 @@ of the curve, so any measured delay is conservative.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -40,55 +39,48 @@ class ClimaxProfile:
     pre_mass_fraction: float
 
 
-def _prefix_integrals(pitches: Sequence[int], velocities: Sequence[int],
-                      onsets: Sequence[int], ends: Sequence[int]):
-    """Exact running integrals of the three step functions over time.
+def _edge_integrals(pitches: Sequence[int], velocities: Sequence[int],
+                    onsets: Sequence[int], ends: Sequence[int],
+                    windows: Sequence[Tuple[int, int]]
+                    ) -> Dict[int, Tuple[int, int, int, int]]:
+    """Exact running integrals at every window edge, in one sweep.
 
     Entry i of each column is one note, with `onsets` and `ends` in
-    ticks. Returns the sorted boundaries and, per boundary, the integrals
-    of sum-of-pitch, sum-of-velocity and sounding-note count from the
-    first boundary up to it, plus the three step values just after it.
+    ticks. Maps each note boundary and window edge to the integrals of
+    sum-of-pitch, sum-of-velocity and sounding-note count up to that
+    tick, and to the count of onsets before it.
     """
-    deltas: Dict[int, List[int]] = {}
+    deltas: Dict[int, Sequence[int]] = {}
     for pitch, vel, on_tick, off_tick in zip(pitches, velocities, onsets,
                                              ends):
-        on = deltas.setdefault(on_tick, [0, 0, 0])
+        on = deltas.setdefault(on_tick, [0, 0, 0, 0])
         on[0] += pitch
         on[1] += vel
         on[2] += 1
-        off = deltas.setdefault(off_tick, [0, 0, 0])
+        on[3] += 1
+        off = deltas.setdefault(off_tick, [0, 0, 0, 0])
         off[0] -= pitch
         off[1] -= vel
         off[2] -= 1
-    bounds = sorted(deltas)
-    rows = []
-    pitch = vel = sounding = 0
-    pitch_int = vel_int = sounding_int = 0
-    prev = bounds[0]
-    for b in bounds:
-        width = b - prev
+    for lo, hi in windows:  # an edge changes nothing
+        deltas.setdefault(lo, (0, 0, 0, 0))
+        deltas.setdefault(hi, (0, 0, 0, 0))
+    at = {}
+    pitch = vel = sounding = started = 0
+    pitch_int = vel_int = sounding_int = prev = 0
+    for tick in sorted(deltas):
+        width = tick - prev
         pitch_int += pitch * width
         vel_int += vel * width
         sounding_int += sounding * width
-        d_pitch, d_vel, d_sounding = deltas[b]
+        at[tick] = (pitch_int, vel_int, sounding_int, started)
+        d_pitch, d_vel, d_sounding, d_started = deltas[tick]
         pitch += d_pitch
         vel += d_vel
         sounding += d_sounding
-        rows.append((pitch_int, vel_int, sounding_int, pitch, vel, sounding))
-        prev = b
-    return bounds, rows
-
-
-def _integrals_at(bounds: List[int], rows, x: int) -> Tuple[int, int, int]:
-    """The three integrals up to tick x: a bisection, then linear
-    interpolation inside the segment that holds x."""
-    i = bisect_right(bounds, x) - 1
-    if i < 0:
-        return 0, 0, 0
-    pitch_int, vel_int, sounding_int, pitch, vel, sounding = rows[i]
-    dx = x - bounds[i]
-    return (pitch_int + pitch * dx, vel_int + vel * dx,
-            sounding_int + sounding * dx)
+        started += d_started
+        prev = tick
+    return at
 
 
 def salience_curve(piece: Piece,
@@ -97,10 +89,12 @@ def salience_curve(piece: Piece,
     """Sample salience on a grid of half-window steps over [0, beats_total].
 
     Windows are centered on the grid points and clipped to the piece.
-    A window's pitch, velocity and overlap masses are differences of
-    exact prefix integrals, and its onset count is two bisections, so
-    the curve costs O((events + grid points) log events). A grid of more
-    than MAX_GRID_POINTS points is refused.
+    One sweep over the sorted note boundaries and window edges gives
+    the exact running integrals at every edge, so a window's pitch,
+    velocity and overlap masses and its onset count are differences of
+    two of them, and the curve costs O((n + g) log(n + g)) for n events
+    and g grid points. A grid of more than MAX_GRID_POINTS points is
+    refused.
     """
     check_weights(weights, 3)
     window = Fraction(window)
@@ -129,28 +123,24 @@ def salience_curve(piece: Piece,
     # equal, and an int / int ratio is the correctly rounded float of
     # the same rational that the Fraction would give.
     up = lcm(half.denominator, n_steps)
-    pitches = piece.column("pitches")
-    onsets = [t * up for t in onsets]
-    bounds, rows = _prefix_integrals(pitches, piece.column("velocities"),
-                                     onsets, [t * up for t in ends])
-    onsets.sort()
     half_ticks = half.numerator * (scale * up // half.denominator)
-    end_ticks = max(ends)
-    total_ticks = end_ticks * up
-    times = [Fraction(end_ticks * k, scale * n_steps)
-             for k in range(n_steps + 1)]
+    total_ticks = max(ends) * up
+    mids = [total_ticks * k // n_steps for k in range(n_steps + 1)]
+    windows = [(max(0, mid - half_ticks), min(total_ticks, mid + half_ticks))
+               for mid in mids]
+    pitches = piece.column("pitches")
+    at = _edge_integrals(pitches, piece.column("velocities"),
+                         [t * up for t in onsets], [t * up for t in ends],
+                         windows)
 
     pmin = min(pitches)
     pmax = max(pitches)
     pitch_comp: list[float] = []
     vel_comp: list[float] = []
     counts: list[int] = []
-    for k in range(n_steps + 1):
-        mid = total_ticks * k // n_steps
-        lo = max(0, mid - half_ticks)
-        hi = min(total_ticks, mid + half_ticks)
-        p_lo, v_lo, n_lo = _integrals_at(bounds, rows, lo)
-        p_hi, v_hi, n_hi = _integrals_at(bounds, rows, hi)
+    for lo, hi in windows:
+        p_lo, v_lo, n_lo, c_lo = at[lo]
+        p_hi, v_hi, n_hi, c_hi = at[hi]
         overlap_total = n_hi - n_lo
         if overlap_total > 0:
             if pmax > pmin:
@@ -162,15 +152,16 @@ def salience_curve(piece: Piece,
         else:
             pitch_comp.append(0.0)
             vel_comp.append(0.0)
-        counts.append(bisect_left(onsets, hi) - bisect_left(onsets, lo))
+        counts.append(c_hi - c_lo)
 
     max_count = max(counts) if max(counts) > 0 else 1
     w_pitch, w_density, w_velocity = weights
     # a list first: `tuple()` of a generator resizes its result, which
     # shifts short curves between CPython's per-size tuple free lists
     return tuple([
-        (t, w_pitch * pc + w_density * (c / max_count) + w_velocity * vc)
-        for t, pc, vc, c in zip(times, pitch_comp, vel_comp, counts)])
+        (Fraction(mid, scale * up),
+         w_pitch * pc + w_density * (c / max_count) + w_velocity * vc)
+        for mid, pc, vc, c in zip(mids, pitch_comp, vel_comp, counts)])
 
 
 def locate_climax(curve: Curve) -> ClimaxProfile:

@@ -382,16 +382,12 @@ def estimate_key(piece: Piece) -> Tuple[int, str]:
     mass = [0] * 12  # in the piece's ticks, so equal masses tie exactly
     for pitch, onset, end in zip(piece.column("pitches"), onsets, ends):
         mass[pitch % 12] += end - onset
-    best = None
-    for tonic in range(12):
-        for mode in ("major", "minor"):
-            base = MAJOR_SET if mode == "major" else NATURAL_MINOR_SET
-            scale = frozenset((pc + tonic) % 12 for pc in base)
-            score = sum(mass[pc] for pc in scale)
-            rank = (-score, 0 if mode == "major" else 1, tonic)
-            if best is None or rank < best[0]:
-                best = (rank, (tonic, mode))
-    return best[1]
+    # "major" < "minor", so a tie goes to major, then the lower tonic
+    _, mode, tonic = min(
+        (-sum(mass[(pc + tonic) % 12] for pc in base), mode, tonic)
+        for mode, base in (("major", MAJOR_SET), ("minor", NATURAL_MINOR_SET))
+        for tonic in range(12))
+    return tonic, mode
 
 
 def classify_cadence(piece: Piece,

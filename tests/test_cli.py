@@ -72,6 +72,7 @@ def test_analyze_form_over_step_bound_exit_2(fixtures_dir):
 @pytest.mark.parametrize("command", [
     ["analyze", "fixture_fig1.notes", "--form", "AAB"],
     ["form", "recognize", "AAB"],
+    ["analyze", "fixture_fig1.notes"],
 ])
 def test_empty_seed_is_refused_exit_2(fixtures_dir, command):
     command = [fixtures_dir / arg if arg.endswith(".notes") else arg
@@ -96,6 +97,15 @@ def test_empty_query_or_form_is_refused_exit_2(fixtures_dir, command,
     res = run_cli(*command)
     assert res.returncode == 2
     assert res.stderr == message
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [["--seed", "ab"], ["--form", "ab"]])
+def test_bad_seed_or_form_is_refused_before_the_input_is_read(tmp_path,
+                                                              flags):
+    res = run_cli("analyze", tmp_path / "missing.notes", *flags)
+    assert res.returncode == 2
+    assert res.stderr == "error: form must be uppercase letters, got 'ab'\n"
     assert res.stdout == ""
 
 
@@ -331,6 +341,24 @@ def test_out_flag_writes_file(fixtures_dir, tmp_path):
                   "--out", out)
     assert res.returncode == 0 and res.stdout == ""
     assert json.loads(out.read_text())["climax"]["asymmetry_index"] > 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "corpus"])
+def test_stdout_carries_utf8_bytes_whatever_the_locale(tmp_path, command):
+    (tmp_path / "café.notes").write_text("@title café\n0 1 60\n1 1 62\n",
+                                         encoding="utf-8")
+    target = tmp_path if command == "corpus" else tmp_path / "café.notes"
+    argv = [sys.executable, "-m", "arcform", command, str(target)]
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    out = tmp_path / "report.out"
+    to_file = subprocess.run([*argv, "--out", str(out)], capture_output=True,
+                             env=env, cwd=PKG_ROOT)
+    to_stdout = subprocess.run(argv, capture_output=True, env=env,
+                               cwd=PKG_ROOT)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert b"Traceback" not in to_stdout.stderr
+    assert "café".encode("utf-8") in out.read_bytes()
+    assert to_stdout.stdout == out.read_bytes()
 
 
 # --- climax / recur --------------------------------------------------------------

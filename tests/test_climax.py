@@ -126,6 +126,15 @@ windows = st.one_of(st.builds(Fraction, st.integers(1, 40), denominators),
 @example(Piece(parts=(Part(0, (NoteEvent(Fraction(9), Fraction(1, 3), 0, 1),
                                NoteEvent(Fraction(10), Fraction(2), 127))),)),
          (0.4, 0.3, 0.3), Fraction(2))  # gap before the first onset
+# every window edge on an onset or an end: an onset at lo counts, one at hi not
+@example(mono_piece([60, 62, 64, 65, 67], velocity=90), (0.2, 0.5, 0.3),
+         Fraction(2))
+# a late start: edges between 0 and the first onset that are no note's tick
+@example(Piece(parts=(Part(0, (NoteEvent(Fraction(7, 3), Fraction(1, 2), 64,
+                                         100),)),
+                      Part(1, (NoteEvent(Fraction(10, 3), Fraction(2, 3), 52,
+                                         40, 1),)))),
+         (0.2, 0.5, 0.3), Fraction(3, 4))
 def test_salience_curve_matches_direct_definition(piece, weights, window):
     assert salience_curve(piece, weights, window) == \
         oracle_salience_curve(piece, weights, window)
