@@ -68,12 +68,16 @@ def _effective_config(args: argparse.Namespace) -> AnalysisConfig:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    """UTF-8 bytes to `out`, or the same bytes to stdout in any locale."""
+    """UTF-8 bytes to `out`, or the same bytes to stdout in any locale. A
+    lone surrogate, which a file name that is not UTF-8 brings in, is
+    written as its backslash escape (in JSON, the escape of the same
+    code point)."""
+    data = text.encode("utf-8", "backslashreplace")
     if out is not None:
-        Path(out).write_bytes(text.encode("utf-8"))
+        Path(out).write_bytes(data)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
-        sys.stdout.buffer.write(text.encode("utf-8"))
+        sys.stdout.buffer.write(data)
     else:  # a text stream with no bytes below it, such as io.StringIO
         sys.stdout.write(text)
 

@@ -51,17 +51,24 @@ def _edge_integrals(pitches: Sequence[int], velocities: Sequence[int],
     tick, and to the count of onsets before it.
     """
     deltas: Dict[int, Sequence[int]] = {}
+    get = deltas.get
     for pitch, vel, on_tick, off_tick in zip(pitches, velocities, onsets,
                                              ends):
-        on = deltas.setdefault(on_tick, [0, 0, 0, 0])
-        on[0] += pitch
-        on[1] += vel
-        on[2] += 1
-        on[3] += 1
-        off = deltas.setdefault(off_tick, [0, 0, 0, 0])
-        off[0] -= pitch
-        off[1] -= vel
-        off[2] -= 1
+        on = get(on_tick)
+        if on is None:
+            deltas[on_tick] = [pitch, vel, 1, 1]
+        else:
+            on[0] += pitch
+            on[1] += vel
+            on[2] += 1
+            on[3] += 1
+        off = get(off_tick)
+        if off is None:
+            deltas[off_tick] = [-pitch, -vel, -1, 0]
+        else:
+            off[0] -= pitch
+            off[1] -= vel
+            off[2] -= 1
     for lo, hi in windows:  # an edge changes nothing
         deltas.setdefault(lo, (0, 0, 0, 0))
         deltas.setdefault(hi, (0, 0, 0, 0))
@@ -165,19 +172,21 @@ def salience_curve(piece: Piece,
 
 
 def locate_climax(curve: Curve) -> ClimaxProfile:
-    """Earliest-maximum peak plus derived asymmetry statistics."""
+    """Earliest-maximum peak plus derived asymmetry statistics. The
+    curve's times increase, as `salience_curve` gives them."""
     if not curve:
         raise AnalysisError("empty curve")
-    total_mass = sum(s for _, s in curve)
+    saliences = [s for _, s in curve]
+    total_mass = sum(saliences)
     if total_mass <= 0:
         raise AnalysisError("no salience content")
-    peak_salience = max(s for _, s in curve)
-    peak_time = next(t for t, s in curve if s == peak_salience)
+    peak = saliences.index(max(saliences))
+    peak_time = curve[peak][0]
     span = curve[-1][0]
     if span <= 0:
         raise AnalysisError("curve spans zero time")
     normalized = float(Fraction(peak_time) / span)
-    pre_mass = sum(s for t, s in curve if t < peak_time)
+    pre_mass = sum(saliences[:peak])
     return ClimaxProfile(
         curve=curve,
         peak_time=peak_time,

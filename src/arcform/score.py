@@ -353,24 +353,15 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Part:
     """One MTrk chunk's notes as a part, sorted by (onset, pitch); equal
     ones stay in the order they closed."""
     notes: List[int] = []  # start, length, pitch, velocity of each note
-    open_notes: dict[Tuple[int, int], list[Tuple[int, int]]] = {}
-    pos = 0
-    tick = 0
-    status = 0
-
-    def close(channel: int, pitch: int, end_tick: int) -> None:
-        stack = open_notes.get((channel, pitch))
-        if not stack:
-            return
-        start_tick, vel = stack.pop(0)
-        if end_tick > start_tick:
-            notes.extend((start_tick, end_tick - start_tick, pitch,
-                          max(1, vel)))
-
+    # per channel << 7 | pitch, the tick and velocity of each open note,
+    # oldest first, one after another in one flat list
+    open_notes: dict[int, List[int]] = {}
+    pos = tick = status = 0
     size = len(chunk)
     while pos < size:
-        if chunk[pos] < 0x80:  # one-byte delta, the common case
-            tick += chunk[pos]
+        byte = chunk[pos]
+        if byte < 0x80:  # one-byte delta, the common case
+            tick += byte
             pos += 1
         else:
             delta, pos = _read_varlen(chunk, pos)
@@ -383,7 +374,8 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Part:
             pos += 1
         elif status == 0:
             raise MidiError("data byte without running status")
-        if status in (0xFF, 0xF0, 0xF7):
+        kind = status & 0xF0
+        if kind == 0xF0 and status in (0xFF, 0xF0, 0xF7):
             if status == 0xFF:
                 if pos >= size:
                     raise MidiError("truncated meta event")
@@ -394,26 +386,41 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Part:
                                 "its track")
             pos += length
             status = 0  # meta and sysex events cancel running status
-        else:
-            kind = status & 0xF0
-            channel = status & 0x0F
-            ndata = 1 if kind in (0xC0, 0xD0) else 2
-            if pos + ndata > size:
+        elif kind == 0xC0 or kind == 0xD0:  # one data byte
+            if pos >= size:
                 raise MidiError("truncated channel event")
-            key = chunk[pos]
-            value = chunk[pos + 1] if ndata == 2 else 0
-            if (key | value) & 0x80:
+            if chunk[pos] & 0x80:
                 raise MidiError("channel event data byte has the high bit set")
-            pos += ndata
-            if kind == 0x90 and value > 0:
-                open_notes.setdefault((channel, key), []).append((tick, value))
-            elif kind in (0x80, 0x90):  # note-off, or note-on at velocity 0
-                close(channel, key, tick)
-    for (channel, pitch), stack in open_notes.items():
-        while stack:
+            pos += 1
+        else:
+            if pos + 2 > size:
+                raise MidiError("truncated channel event")
+            pitch = chunk[pos]
+            value = chunk[pos + 1]
+            if (pitch | value) & 0x80:
+                raise MidiError("channel event data byte has the high bit set")
+            pos += 2
+            if kind == 0x90 and value:
+                key = (status & 0x0F) << 7 | pitch
+                stack = open_notes.get(key)
+                if stack is None:
+                    open_notes[key] = [tick, value]
+                else:
+                    stack += (tick, value)
+            elif kind == 0x80 or kind == 0x90:  # note-off, or velocity 0
+                stack = open_notes.get((status & 0x0F) << 7 | pitch)
+                if stack:
+                    start = stack[0]
+                    if tick > start:
+                        notes += (start, tick - start, pitch, stack[1])
+                    del stack[:2]
+    for key, stack in open_notes.items():
+        pitch = key & 0x7F
+        for start, vel in zip(stack[0::2], stack[1::2]):
             warnings.warn(f"unmatched note-on (pitch {pitch}) closed at "
                           f"track end", stacklevel=3)
-            close(channel, pitch, tick)
+            if tick > start:
+                notes += (start, tick - start, pitch, vel)
     return Part._from_columns(voice, division, [
         notes[0::4], notes[1::4], notes[2::4], notes[3::4],
         [voice] * (len(notes) // 4)])
@@ -437,7 +444,7 @@ def import_midi(data: bytes) -> Piece:
         raise MidiError("zero time division")
     pos = 8 + header_len
     parts: list[Part] = []
-    for track_index in range(ntrks):
+    while len(parts) < ntrks:  # an alien chunk is skipped as if absent
         if pos + 8 > len(data):
             raise MidiError("truncated chunk")
         magic = data[pos:pos + 4]
@@ -446,9 +453,8 @@ def import_midi(data: bytes) -> Piece:
             raise MidiError("truncated chunk")
         chunk = data[pos + 8:pos + 8 + length]
         pos += 8 + length
-        if magic != b"MTrk":
-            continue  # alien chunk: skip per SMF spec
-        parts.append(_track_events(chunk, division, track_index))
+        if magic == b"MTrk":
+            parts.append(_track_events(chunk, division, len(parts)))
     return Piece(parts=tuple(parts))
 
 

@@ -3,7 +3,8 @@
 Deliberately written with different algorithms than the implementations
 they verify: plain recursion instead of the bit-vector edit distance,
 string rewriting instead of tree rewriting, a per-window sum over every
-event instead of prefix integrals, a scan of every event at every
+event instead of prefix integrals, a climax found by comparing times
+instead of by its index, a scan of every event at every
 boundary instead of a heap sweep, every recurrence window scored from
 scratch instead of one pass per window start, a MIDI reader that builds
 each note's `Fraction`s as it closes, a recursive-descent tree parser
@@ -153,6 +154,27 @@ def oracle_salience_curve(piece, weights, window):
     return tuple(
         (t, w_pitch * pc + w_density * (c / max_count) + w_velocity * vc)
         for t, pc, vc, c in zip(times, pitch_comp, vel_comp, counts))
+
+
+def oracle_locate_climax(curve):
+    """Peak and asymmetry by comparing times: the earliest point that
+    equals the maximum, and the salience of every point before its
+    time. Returns (peak_time, normalized_position, asymmetry_index,
+    pre_mass_fraction)."""
+    if not curve:
+        raise AnalysisError("empty curve")
+    total_mass = sum(s for _, s in curve)
+    if total_mass <= 0:
+        raise AnalysisError("no salience content")
+    peak_salience = max(s for _, s in curve)
+    peak_time = next(t for t, s in curve if s == peak_salience)
+    span = curve[-1][0]
+    if span <= 0:
+        raise AnalysisError("curve spans zero time")
+    normalized = float(Fraction(peak_time) / span)
+    pre_mass = sum(s for t, s in curve if t < peak_time)
+    return (peak_time, normalized, 2.0 * normalized - 1.0,
+            pre_mass / total_mass)
 
 
 def oracle_skyline(piece: Piece) -> Part:
@@ -334,15 +356,16 @@ def _oracle_track(chunk: bytes, division: int, voice: int) -> Part:
 
 def oracle_import_midi(data: bytes) -> Piece:
     """A well-formed format 0 or 1 SMF as a Piece: one Part per MTrk
-    chunk, voice = chunk index. Malformed input is the library's job."""
+    chunk, voice = MTrk index; other chunks are skipped. Malformed input
+    is the library's job."""
     ntrks, division = struct.unpack(">HH", data[10:14])
     pos = 8 + int.from_bytes(data[4:8], "big")
     parts = []
-    for index in range(ntrks):
+    while len(parts) < ntrks:
         magic, length = struct.unpack(">4sI", data[pos:pos + 8])
         if magic == b"MTrk":
             parts.append(_oracle_track(data[pos + 8:pos + 8 + length],
-                                       division, index))
+                                       division, len(parts)))
         pos += 8 + length
     return Piece(parts=tuple(parts))
 
@@ -358,11 +381,16 @@ def varlen(value: int) -> bytes:
     return bytes(reversed(out))
 
 
-def midi_file(tracks, division: int = 480, fmt: int = 1) -> bytes:
-    """tracks: list of event lists [(delta_ticks, message_bytes), ...]."""
+def midi_file(tracks, division: int = 480, fmt: int = 1,
+              alien_before: Sequence[int] = ()) -> bytes:
+    """tracks: list of event lists [(delta_ticks, message_bytes), ...].
+    An alien chunk precedes track i for each i in `alien_before`; i =
+    len(tracks) puts one after the last track."""
+    alien = struct.pack(">4sI", b"XFIH", 5) + b"alien"
     data = struct.pack(">4sIHHH", b"MThd", 6, fmt, len(tracks), division)
-    for events in tracks:
+    for index, events in enumerate(tracks):
+        data += alien * (index in alien_before)
         body = b"".join(varlen(delta) + bytes(msg) for delta, msg in events)
         body += varlen(0) + bytes([0xFF, 0x2F, 0x00])  # end of track
         data += struct.pack(">4sI", b"MTrk", len(body)) + body
-    return data
+    return data + alien * (len(tracks) in alien_before)

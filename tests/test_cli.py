@@ -361,6 +361,30 @@ def test_stdout_carries_utf8_bytes_whatever_the_locale(tmp_path, command):
     assert to_stdout.stdout == out.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["analyze", "recur", "corpus"])
+def test_a_file_name_that_is_not_utf8_is_escaped_not_a_traceback(
+        tmp_path, command):
+    # a bytes name: the report carries it as a lone surrogate
+    name = os.path.join(os.fsencode(tmp_path), b"a\xff.notes")
+    try:
+        with open(name, "wb") as handle:
+            handle.write(b"0 1 60\n1 1 62\n2 1 64\n")
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a name that is not UTF-8")
+    target = os.fsencode(tmp_path) if command == "corpus" else name
+    argv = [sys.executable, "-m", "arcform", command, target]
+    if command == "recur":
+        argv += ["--query", name]
+    out = tmp_path / "report.out"
+    to_file = subprocess.run([*argv, "--out", str(out)], capture_output=True,
+                             cwd=PKG_ROOT)
+    to_stdout = subprocess.run(argv, capture_output=True, cwd=PKG_ROOT)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert b"Traceback" not in to_file.stderr + to_stdout.stderr
+    assert b"a\\udcff.notes" in out.read_bytes()
+    assert to_stdout.stdout == out.read_bytes()
+
+
 # --- climax / recur --------------------------------------------------------------
 
 def test_climax_csv_curve(fixtures_dir):

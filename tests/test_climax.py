@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from arcform import AnalysisError, NoteEvent, Part, Piece, parse_text
 from arcform import climax
 from arcform.climax import climax_profile, locate_climax, salience_curve
-from oracles import oracle_salience_curve
+from oracles import oracle_locate_climax, oracle_salience_curve
 
 
 def mono_piece(pitches, dur=1, velocity=64):
@@ -174,6 +174,39 @@ def test_pre_mass_fraction_definition():
     profile = locate_climax(curve)
     assert profile.peak_time == 2
     assert profile.pre_mass_fraction == pytest.approx(3 / 7)
+
+
+@st.composite
+def increasing_curves(draw):
+    """Curves with increasing times from 0 and saliences from a few
+    values, so maxima tie often, as on a grid of equal windows."""
+    steps = draw(st.lists(st.fractions(Fraction(1, 8), 4), min_size=0,
+                          max_size=12))
+    times = [Fraction(0)]
+    for step in steps:
+        times.append(times[-1] + step)
+    saliences = draw(st.lists(
+        st.sampled_from([0.0, 0.1, 0.7, 0.7000000000000001])
+        | st.floats(0, 1), min_size=len(times), max_size=len(times)))
+    return tuple(zip(times, saliences))
+
+
+@given(increasing_curves())
+@example(((Fraction(0), 0.2), (Fraction(1, 3), 0.9), (Fraction(1), 0.1),
+          (Fraction(3, 2), 0.9)))
+@example(((Fraction(0), 0.5),))
+def test_locate_climax_matches_time_comparisons(curve):
+    try:
+        expected = oracle_locate_climax(curve)
+    except AnalysisError as exc:
+        with pytest.raises(AnalysisError, match=str(exc)):
+            locate_climax(curve)
+        return
+    profile = locate_climax(curve)
+    assert profile.curve is curve
+    # bit for bit: the same floats summed in the same order
+    assert (profile.peak_time, profile.normalized_position,
+            profile.asymmetry_index, profile.pre_mass_fraction) == expected
 
 
 # --- invariants ---------------------------------------------------------------

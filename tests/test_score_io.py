@@ -266,6 +266,23 @@ def test_midi_two_tracks_become_two_voices():
     assert piece.beats_total == 2
 
 
+@pytest.mark.parametrize("alien_before", [{0}, {1}, {0, 1, 2}])
+def test_midi_alien_chunks_are_skipped_as_if_absent(alien_before):
+    tracks = [[(0, [0x90, 60, 70]), (480, [0x80, 60, 0])],
+              [(0, [0x90, 72, 70]), (960, [0x80, 72, 0])]]
+    piece = import_midi(midi_file(tracks, alien_before=alien_before))
+    assert piece == import_midi(midi_file(tracks))
+    assert [p.voice for p in piece.parts] == [0, 1]
+
+
+def test_midi_missing_track_after_alien_chunk_is_truncated():
+    data = midi_file([[(0, [0x90, 60, 70]), (480, [0x80, 60, 0])]],
+                     alien_before={1})
+    two_tracks = data[:10] + (2).to_bytes(2, "big") + data[12:]
+    with pytest.raises(MidiError, match="truncated chunk"):
+        import_midi(two_tracks)
+
+
 def test_midi_empty_track_list():
     piece = import_midi(midi_file([]))
     assert piece.parts == ()
@@ -322,11 +339,15 @@ def smf_files(draw):
     """Well-formed SMFs dense in what the reader must order right: a few
     channels and pitches, so notes of one (channel, pitch) overlap and
     several notes share an onset and a pitch; velocity-0 note-offs,
-    running status, meta events and unmatched note-ons."""
+    running status, meta and sysex events, unmatched note-ons, messages
+    of one data byte (0xC0, 0xD0) and of two that are not notes (0xB0),
+    and alien chunks between the tracks."""
     division = draw(st.sampled_from([1, 3, 96, 480, 1000]))
     fmt = draw(st.sampled_from([0, 1]))
     messages = st.tuples(st.just(0) | st.integers(0, 3 * division),
-                         st.sampled_from([0x80, 0x90, 0x90, 0xFF]),
+                         st.sampled_from([0x80, 0x90, 0x90, 0x80, 0x90,
+                                          0x90, 0xB0, 0xC0, 0xD0, 0xF0,
+                                          0xFF]),
                          st.integers(0, 2), st.integers(58, 62),
                          st.integers(0, 127), st.booleans())
     tracks = []
@@ -334,16 +355,20 @@ def smf_files(draw):
         track, status = [], None
         for delta, kind, channel, pitch, velocity, running in draw(
                 st.lists(messages, max_size=40)):
+            data = [pitch] if kind in (0xC0, 0xD0) else [pitch, velocity]
             if kind == 0xFF:
                 message, status = [0xFF, 0x01, 0x00], None
+            elif kind == 0xF0:
+                message, status = [0xF0, 0x02, pitch, 0xF7], None
             elif (kind | channel) == status and running:
-                message = [pitch, velocity]
+                message = data
             else:
                 status = kind | channel
-                message = [status, pitch, velocity]
+                message = [status, *data]
             track.append((delta, message))
         tracks.append(track)
-    return midi_file(tracks, division=division, fmt=fmt)
+    aliens = draw(st.sets(st.integers(0, len(tracks))))
+    return midi_file(tracks, division=division, fmt=fmt, alien_before=aliens)
 
 
 @given(smf_files())
