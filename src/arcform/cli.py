@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import statistics
+import os
 import sys
 import warnings
 from fractions import Fraction
-from pathlib import Path
-from typing import Any, Dict, List, Optional
 
 from . import __version__
 from .climax import climax_profile
@@ -26,17 +24,26 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 
+def _suffix(path: str) -> str:
+    """The extension of the path's last name, in lower case, read as
+    pathlib reads it: from its last dot, unless that starts or ends it."""
+    name = os.path.basename(path.rstrip(os.sep))
+    dot = name.rfind(".")
+    return name[dot:].lower() if 0 < dot < len(name) - 1 else ""
+
+
 def load_piece(path: str) -> Piece:
-    p = Path(path)
-    suffix = p.suffix.lower()
+    suffix = _suffix(path)
     if suffix == ".notes":
         try:
-            text = p.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
         except UnicodeDecodeError as exc:
             raise ScoreFormatError(f"{path}: not UTF-8 text") from exc
         return parse_text(text)
     if suffix in (".mid", ".midi"):
-        data = p.read_bytes()
+        with open(path, "rb") as handle:
+            data = handle.read()
         # the importer's repair warnings, each named by its file
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -67,14 +74,15 @@ def _effective_config(args: argparse.Namespace) -> AnalysisConfig:
     return AnalysisConfig(**settings)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     """UTF-8 bytes to `out`, or the same bytes to stdout in any locale. A
     lone surrogate, which a file name that is not UTF-8 brings in, is
     written as its backslash escape (in JSON, the escape of the same
     code point)."""
     data = text.encode("utf-8", "backslashreplace")
     if out is not None:
-        Path(out).write_bytes(data)
+        with open(out, "wb") as handle:
+            handle.write(data)
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
@@ -82,7 +90,7 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _form_section(form: Optional[str], seed: str) -> Optional[Dict[str, Any]]:
+def _form_section(form: str | None, seed: str) -> dict[str, object] | None:
     """The form section; the seed is checked even with no form."""
     tree = parse_form(seed)
     if form is None:
@@ -100,7 +108,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     form = (_form_section(args.form, args.seed) if hasattr(args, "seed")
             else None)
     piece = load_piece(args.input)
-    sections: Dict[str, Any] = {}
+    sections: dict[str, object] = {}
     if args.command != "recur":
         climax = sections["climax"] = climax_profile(
             piece, config.salience_weights, config.window)
@@ -146,24 +154,26 @@ def cmd_form_recognize(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
+    from statistics import fmean, median  # only corpus summarises
+
     config = _effective_config(args)
-    directory = Path(args.directory)
-    if not directory.is_dir():
-        raise ScoreFormatError(f"not a directory: {args.directory}")
-    files = sorted(p for p in directory.iterdir()
-                   if p.suffix.lower() in (".notes", ".mid", ".midi"))
+    directory = args.directory
+    if not os.path.isdir(directory):
+        raise ScoreFormatError(f"not a directory: {directory}")
+    names = sorted(name for name in os.listdir(directory)
+                   if _suffix(name) in (".notes", ".mid", ".midi"))
     rows = []
     skipped = 0
-    for path in files:
+    for name in names:
         try:
-            piece = load_piece(str(path))
+            piece = load_piece(os.path.join(directory, name))
             profile = climax_profile(piece, config.salience_weights,
                                      config.window)
         except (ArcformError, OSError) as exc:
             skipped += 1
-            print(f"warning: skipped {path.name}: {exc}", file=sys.stderr)
+            print(f"warning: skipped {name}: {exc}", file=sys.stderr)
             continue
-        rows.append((path.name, piece.beats_total,
+        rows.append((name, piece.beats_total,
                      profile.normalized_position,
                      profile.asymmetry_index,
                      profile.pre_mass_fraction))
@@ -174,10 +184,9 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     for name, total, pos, asym, pre in rows:
         lines.append(f"{name},{total},{pos:.6f},{asym:.6f},{pre:.6f}")
     positions = [pos for _, _, pos, _, _ in rows]
-    mean = statistics.fmean(positions)
-    median = statistics.median(positions)
     # summary row: column 2 = piece count, 3 = mean position, 4 = median
-    lines.append(f"summary,{len(rows)},{mean:.6f},{median:.6f},")
+    lines.append(f"summary,{len(rows)},{fmean(positions):.6f},"
+                 f"{median(positions):.6f},")
     _emit("\n".join(lines) + "\n", args.out)
     if skipped:
         print(f"warning: {skipped} file(s) skipped", file=sys.stderr)
@@ -256,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -7,14 +7,14 @@ of the curve, so any measured delay is conservative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Sequence, Tuple
 
-from .config import DEFAULTS, check_weights
+from .config import DEFAULTS, check_weights, check_window
 from .errors import AnalysisError
 from .score import Piece
+from .value import Value
 
 __all__ = [
     "ClimaxProfile",
@@ -27,22 +27,26 @@ __all__ = [
 # a curve of more points is refused before any is computed
 MAX_GRID_POINTS = 100_000
 
-Curve = Tuple[Tuple[Fraction, float], ...]
+Curve = tuple[tuple[Fraction, float], ...]
 
 
-@dataclass(frozen=True)
-class ClimaxProfile:
-    curve: Curve
-    peak_time: Fraction
-    normalized_position: float
-    asymmetry_index: float
-    pre_mass_fraction: float
+class ClimaxProfile(Value):
+    _fields = ("curve", "peak_time", "normalized_position", "asymmetry_index",
+               "pre_mass_fraction")
+
+    def __init__(self, curve: Curve, peak_time: Fraction,
+                 normalized_position: float, asymmetry_index: float,
+                 pre_mass_fraction: float) -> None:
+        vars(self).update(curve=curve, peak_time=peak_time,
+                          normalized_position=normalized_position,
+                          asymmetry_index=asymmetry_index,
+                          pre_mass_fraction=pre_mass_fraction)
 
 
 def _edge_integrals(pitches: Sequence[int], velocities: Sequence[int],
                     onsets: Sequence[int], ends: Sequence[int],
-                    windows: Sequence[Tuple[int, int]]
-                    ) -> Dict[int, Tuple[int, int, int, int]]:
+                    windows: Sequence[tuple[int, int]]
+                    ) -> dict[int, tuple[int, int, int, int]]:
     """Exact running integrals at every window edge, in one sweep.
 
     Entry i of each column is one note, with `onsets` and `ends` in
@@ -50,7 +54,7 @@ def _edge_integrals(pitches: Sequence[int], velocities: Sequence[int],
     sum-of-pitch, sum-of-velocity and sounding-note count up to that
     tick, and to the count of onsets before it.
     """
-    deltas: Dict[int, Sequence[int]] = {}
+    deltas: dict[int, Sequence[int]] = {}
     get = deltas.get
     for pitch, vel, on_tick, off_tick in zip(pitches, velocities, onsets,
                                              ends):
@@ -91,7 +95,7 @@ def _edge_integrals(pitches: Sequence[int], velocities: Sequence[int],
 
 
 def salience_curve(piece: Piece,
-                   weights: Tuple[float, float, float] = DEFAULTS.salience_weights,
+                   weights: tuple[float, float, float] = DEFAULTS.salience_weights,
                    window: Fraction = DEFAULTS.window) -> Curve:
     """Sample salience on a grid of half-window steps over [0, beats_total].
 
@@ -104,9 +108,7 @@ def salience_curve(piece: Piece,
     refused.
     """
     check_weights(weights, 3)
-    window = Fraction(window)
-    if window <= 0:
-        raise AnalysisError("window must be positive")
+    window = check_window(window)
     scale, onsets, ends = piece.timeline
     if not onsets:
         raise AnalysisError("empty piece")
@@ -197,6 +199,6 @@ def locate_climax(curve: Curve) -> ClimaxProfile:
 
 
 def climax_profile(piece: Piece,
-                   weights: Tuple[float, float, float] = DEFAULTS.salience_weights,
+                   weights: tuple[float, float, float] = DEFAULTS.salience_weights,
                    window: Fraction = DEFAULTS.window) -> ClimaxProfile:
     return locate_climax(salience_curve(piece, weights, window))

@@ -9,11 +9,11 @@ can be checked. Forward searches stop at MAX_DERIVATION_STEPS rewrites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple, Union
 
 from .errors import GrammarError
+from .value import Value
 
 __all__ = [
     "Leaf",
@@ -47,42 +47,41 @@ MAX_DERIVATION_STEPS = 32
 MAX_TREE_DEPTH = 64
 
 
-@dataclass(frozen=True)
-class Leaf:
-    label: str
+class Leaf(Value):
+    _fields = ("label",)
     depth = 0  # a class attribute, not a field: leaves add no level
 
-    def __post_init__(self):
-        if len(self.label) != 1 or not self.label.isupper():
+    def __init__(self, label: str) -> None:
+        if len(label) != 1 or not label.isupper():
             raise GrammarError(f"leaf label must be one uppercase letter, "
-                               f"got {self.label!r}")
+                               f"got {label!r}")
+        vars(self).update(label=label)
 
 
-@dataclass(frozen=True)
-class Node:
-    children: Tuple["FormTree", ...]
-    depth: int = field(init=False, repr=False, compare=False)
+class Node(Value):
+    _fields = ("children",)  # depth, derived from them, is no field
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        if len(self.children) < 2:
+    def __init__(self, children: tuple[FormTree, ...]) -> None:
+        children = tuple(children)
+        if len(children) < 2:
             raise GrammarError("node needs at least two children")
-        depth = 1 + max(c.depth for c in self.children)
+        depth = 1 + max(c.depth for c in children)
         if depth > MAX_TREE_DEPTH:
             raise GrammarError(
                 f"tree nested deeper than {MAX_TREE_DEPTH} levels")
-        object.__setattr__(self, "depth", depth)
+        vars(self).update(children=children, depth=depth)
 
 
-FormTree = Union[Leaf, Node]
-Path = Tuple[int, ...]
+FormTree = Leaf | Node
+Path = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Derivation:
-    seed: FormTree
-    steps: Tuple[Path, ...]
-    result: FormTree
+class Derivation(Value):
+    _fields = ("seed", "steps", "result")
+
+    def __init__(self, seed: FormTree, steps: tuple[Path, ...],
+                 result: FormTree) -> None:
+        vars(self).update(seed=seed, steps=steps, result=result)
 
 
 def _check_form(form: str) -> None:
@@ -105,7 +104,7 @@ def parse_tree(text: str) -> FormTree:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise GrammarError("unexpected end of tree text")
-    open_nodes: List[List[FormTree]] = []  # children read so far, per "("
+    open_nodes: list[list[FormTree]] = []  # children read so far, per "("
     for pos, tok in enumerate(tokens):
         if tok == "(":
             open_nodes.append([])
@@ -176,7 +175,7 @@ def right_replicate(tree: FormTree, path: Path = ()) -> FormTree:
 
 
 def _reach(seed: FormTree, max_steps: int,
-           rule=left_replicate) -> Dict[FormTree, Tuple[Path, ...]]:
+           rule=left_replicate) -> dict[FormTree, tuple[Path, ...]]:
     """Breadth-first search: every tree reachable from the seed in at most
     max_steps rewrites, in discovery order, with the rewrite paths of the
     first (shortest) way it was found."""
@@ -199,12 +198,12 @@ def _reach(seed: FormTree, max_steps: int,
 
 
 def generate(seed: FormTree, max_steps: int,
-             rule=left_replicate) -> FrozenSet[FormTree]:
+             rule=left_replicate) -> frozenset[FormTree]:
     """All trees reachable from the seed in at most max_steps rewrites."""
     return frozenset(_reach(seed, max_steps, rule))
 
 
-def derivations(seed: FormTree, max_steps: int) -> Dict[FormTree, Derivation]:
+def derivations(seed: FormTree, max_steps: int) -> dict[FormTree, Derivation]:
     """Shortest left-replication derivation for every reachable tree."""
     return {tree: Derivation(seed, steps, tree)
             for tree, steps in _reach(seed, max_steps).items()}
@@ -218,7 +217,7 @@ def replay(derivation: Derivation) -> FormTree:
 
 
 def recognize(form: str, seed: FormTree,
-              max_steps: int = MAX_DERIVATION_STEPS) -> Optional[int]:
+              max_steps: int = MAX_DERIVATION_STEPS) -> int | None:
     """Minimal root-level left-replications taking the seed to the form.
 
     Returns None when the form is not derivable. Inverse rewriting: strip
@@ -241,14 +240,14 @@ def recognize(form: str, seed: FormTree,
 
 
 def recognize_tree(target: FormTree, seed: FormTree,
-                   max_steps: int = MAX_DERIVATION_STEPS) -> Optional[Derivation]:
+                   max_steps: int = MAX_DERIVATION_STEPS) -> Derivation | None:
     """Hierarchical recognition: minimal derivation to an exact tree.
 
     Searches backward by collapsing duplicated leading children anywhere
     in the tree; returns the replayable forward derivation, or None.
     """
 
-    def collapses(tree: FormTree, prefix: Path = ()) -> Iterator[Tuple[Path, FormTree]]:
+    def collapses(tree: FormTree, prefix: Path = ()) -> Iterator[tuple[Path, FormTree]]:
         if isinstance(tree, Leaf):
             return
         if len(tree.children) >= 3 and tree.children[0] == tree.children[1]:
@@ -284,7 +283,7 @@ def recognize_tree(target: FormTree, seed: FormTree,
 
 
 def predicted_climax_position(n_copies: int,
-                              segment_lengths: Tuple[Fraction, Fraction]) -> Fraction:
+                              segment_lengths: tuple[Fraction, Fraction]) -> Fraction:
     """Normalized onset of B after n left-replications of A."""
     if n_copies < 1:
         raise GrammarError("n_copies must be at least 1")
@@ -294,7 +293,7 @@ def predicted_climax_position(n_copies: int,
     return (n_copies * len_a) / (n_copies * len_a + len_b)
 
 
-def sentence_check(durations: Tuple[Fraction, Fraction, Fraction],
+def sentence_check(durations: tuple[Fraction, Fraction, Fraction],
                    tolerance: float = 0.0) -> bool:
     """Short-short-long test: d1:d2 near 1:1 and d3 near d1+d2."""
     if tolerance < 0:
@@ -305,13 +304,15 @@ def sentence_check(durations: Tuple[Fraction, Fraction, Fraction],
     return abs(d1 / d2 - 1) <= tolerance and abs(d3 / (d1 + d2) - 1) <= tolerance
 
 
-@dataclass(frozen=True)
-class SonataAlignment:
+class SonataAlignment(Value):
     """Sonata sections aligned with form letters and background segments."""
 
-    mode: str
-    rows: Tuple[Tuple[str, str, str], ...]
-    interruption_before: str
+    _fields = ("mode", "rows", "interruption_before")
+
+    def __init__(self, mode: str, rows: tuple[tuple[str, str, str], ...],
+                 interruption_before: str) -> None:
+        vars(self).update(mode=mode, rows=rows,
+                          interruption_before=interruption_before)
 
     @property
     def form(self) -> str:

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Hashable, Iterator, Sequence
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from operator import floordiv, sub
-from typing import (Dict, Hashable, Iterator, List, Optional, Sequence,
-                    Tuple)
 
 from .config import DEFAULTS, check_weights
 from .errors import AnalysisError
 from .score import Part, Piece, skyline
+from .value import Value
 
 __all__ = [
     "IntervalProfile",
@@ -40,39 +39,42 @@ MAJOR_SET = frozenset({0, 2, 4, 5, 7, 9, 11})
 MINOR_SET = frozenset({0, 2, 3, 5, 7, 8, 10, 11})
 
 
-@dataclass(frozen=True)
-class IntervalProfile:
+class IntervalProfile(Value):
     """Transposition- and tempo-invariant melodic fingerprint."""
 
-    steps: Tuple[int, ...]
-    ratios: Tuple[Fraction, ...]
+    _fields = ("steps", "ratios")
 
-    def __post_init__(self):
-        if len(self.steps) != len(self.ratios):
+    def __init__(self, steps: tuple[int, ...],
+                 ratios: tuple[Fraction, ...]) -> None:
+        if len(steps) != len(ratios):
             raise ValueError("steps/ratios length mismatch")
+        vars(self).update(steps=steps, ratios=ratios)
 
     def __len__(self) -> int:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class RecurrenceMatch:
-    occurrence_index: int
-    part: int
-    start: Fraction
-    end: Fraction
-    similarity: float
+class RecurrenceMatch(Value):
+    _fields = ("occurrence_index", "part", "start", "end", "similarity")
+
+    def __init__(self, occurrence_index: int, part: int, start: Fraction,
+                 end: Fraction, similarity: float) -> None:
+        vars(self).update(occurrence_index=occurrence_index, part=part,
+                          start=start, end=end, similarity=similarity)
 
     @property
     def deviation(self) -> float:
         return 1.0 - self.similarity
 
 
-@dataclass(frozen=True)
-class RecurrenceSeries:
-    query: IntervalProfile
-    matches: Tuple[RecurrenceMatch, ...]
-    outlier_index: Optional[int]
+class RecurrenceSeries(Value):
+    _fields = ("query", "matches", "outlier_index")
+
+    def __init__(self, query: IntervalProfile,
+                 matches: tuple[RecurrenceMatch, ...],
+                 outlier_index: int | None) -> None:
+        vars(self).update(query=query, matches=matches,
+                          outlier_index=outlier_index)
 
 
 def interval_profile(melody: Part) -> IntervalProfile:
@@ -88,9 +90,9 @@ def interval_profile(melody: Part) -> IntervalProfile:
                                           durations))))
 
 
-def _pattern_masks(pattern: Sequence[Hashable]) -> Dict[Hashable, int]:
+def _pattern_masks(pattern: Sequence[Hashable]) -> dict[Hashable, int]:
     """Bit i of masks[c] is set where pattern[i] == c."""
-    masks: Dict[Hashable, int] = {}
+    masks: dict[Hashable, int] = {}
     for i, sym in enumerate(pattern):
         masks[sym] = masks.get(sym, 0) | 1 << i
     return masks
@@ -175,7 +177,7 @@ def _distance(pattern: Sequence[Hashable], text: Sequence[Hashable]) -> int:
     return dist
 
 
-def _weight_ticks(weights: Tuple[float, float]) -> Tuple[int, int, int]:
+def _weight_ticks(weights: tuple[float, float]) -> tuple[int, int, int]:
     """`(n_pitch, n_rhythm, den)`: the weights are exactly n_pitch / den
     and n_rhythm / den, since a float is a dyadic rational."""
     w_pitch, w_rhythm = map(Fraction, weights)
@@ -196,7 +198,7 @@ def _score(d_steps: int, d_ratios: int, denom: int,
 
 
 def similarity(a: IntervalProfile, b: IntervalProfile,
-               weights: Tuple[float, float] = DEFAULTS.similarity_weights) -> float:
+               weights: tuple[float, float] = DEFAULTS.similarity_weights) -> float:
     """1 minus the weighted normalized edit distance of the two profiles."""
     check_weights(weights, 2)
     if len(a) == 0 and len(b) == 0:
@@ -207,7 +209,7 @@ def similarity(a: IntervalProfile, b: IntervalProfile,
 
 def find_recurrences(piece: Piece, query: Part,
                      threshold: float = DEFAULTS.threshold,
-                     weights: Tuple[float, float] = DEFAULTS.similarity_weights,
+                     weights: tuple[float, float] = DEFAULTS.similarity_weights,
                      ) -> RecurrenceSeries:
     """Find every non-overlapping statement of the query melody.
 
@@ -240,12 +242,12 @@ def find_recurrences(piece: Piece, query: Part,
     qlen = len(qprof)
     width = _lane_width(qlen)
     weight_ticks = n_pitch, n_rhythm, den = _weight_ticks(weights)
-    scores: Dict[Tuple[int, int, int], float] = {}
+    scores: dict[tuple[int, int, int], float] = {}
     # The score falls as either distance grows, so a window can pass only
     # if each distance is below the first one that fails with the other
     # distance at 0: (cut for steps, cut for ratios) by window denominator,
     # max(qlen, length - 1) for lo <= length <= hi.
-    cuts: Dict[int, Tuple[int, ...]] = {}
+    cuts: dict[int, tuple[int, ...]] = {}
     for denom in range(qlen, hi):
         cuts[denom] = tuple(
             bisect_left(range(denom + 1), True, key=lambda d: _score(
@@ -256,10 +258,10 @@ def find_recurrences(piece: Piece, query: Part,
     # s. A duration ratio is its reduced (numerator, denominator) pair.
     # Each part's step and ratio streams end in a pad symbol (None, which
     # no query symbol equals), so a part's last note still has a lane.
-    lines: List[Part] = []
-    voices: List[int] = []
-    steps: List[Optional[int]] = []
-    ratios: List[Optional[Tuple[int, int]]] = []
+    lines: list[Part] = []
+    voices: list[int] = []
+    steps: list[int | None] = []
+    ratios: list[tuple[int, int] | None] = []
     part_ends = 0  # the high bit of each part's last-note lane
     for part in piece.parts:
         if not len(part):
@@ -321,8 +323,8 @@ def find_recurrences(piece: Piece, query: Part,
     # disjoint, so sorted by start they are sorted by end too, and only
     # the last one starting before a candidate ends can overlap it.
     candidates.sort()
-    spans: Dict[int, Tuple[List[int], List[int]]] = {}
-    chosen: list[Tuple[float, int, Fraction, Fraction]] = []
+    spans: dict[int, tuple[list[int], list[int]]] = {}
+    chosen: list[tuple[float, int, Fraction, Fraction]] = []
     for neg_sim, voice, start, end in candidates:
         starts, stops = spans.setdefault(voice, ([], []))
         k = bisect_left(starts, end)
@@ -336,7 +338,7 @@ def find_recurrences(piece: Piece, query: Part,
 
     matches = tuple(RecurrenceMatch(i, voice, start, end, sim)
                     for i, (sim, voice, start, end) in enumerate(chosen))
-    outlier: Optional[int] = None
+    outlier: int | None = None
     if matches:
         max_dev = max(m.deviation for m in matches)
         at_max = [m.occurrence_index for m in matches
@@ -346,13 +348,13 @@ def find_recurrences(piece: Piece, query: Part,
     return RecurrenceSeries(qprof, matches, outlier)
 
 
-def diatonic_set(key: Tuple[int, str]) -> frozenset:
+def diatonic_set(key: tuple[int, str]) -> frozenset:
     tonic, mode = key
     base = MAJOR_SET if mode == "major" else MINOR_SET
     return frozenset((pc + tonic) % 12 for pc in base)
 
 
-def chromaticism_index(segment: Part, key: Optional[Tuple[int, str]]) -> Fraction:
+def chromaticism_index(segment: Part, key: tuple[int, str] | None) -> Fraction:
     """Fraction of notes whose pitch class falls outside the key."""
     if key is None:
         raise AnalysisError(
@@ -367,7 +369,7 @@ def chromaticism_index(segment: Part, key: Optional[Tuple[int, str]]) -> Fractio
 NATURAL_MINOR_SET = frozenset({0, 2, 3, 5, 7, 8, 10})
 
 
-def estimate_key(piece: Piece) -> Tuple[int, str]:
+def estimate_key(piece: Piece) -> tuple[int, str]:
     """Best of 24 keys by duration-weighted pitch-class overlap.
 
     Minor candidates are scored on the natural-minor set (7 pitch
@@ -391,7 +393,7 @@ def estimate_key(piece: Piece) -> Tuple[int, str]:
 
 
 def classify_cadence(piece: Piece,
-                     key: Optional[Tuple[int, str]] = None) -> str:
+                     key: tuple[int, str] | None = None) -> str:
     """Label the final cadence by bass motion: authentic/plagal/half/other."""
     key = key if key is not None else piece.key
     if key is None:

@@ -8,21 +8,20 @@ byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import Any, Dict, Optional
 
 from .climax import ClimaxProfile
 from .config import AnalysisConfig
 from .recurrence import RecurrenceSeries
 from .score import Piece, key_name
+from .value import Value
 
 __all__ = ["build_report", "render_json", "curve_csv", "jsonable"]
 
 PRECISION = 6
 
 
-def jsonable(value: Any) -> Any:
+def jsonable(value: object) -> object:
     """Recursively convert analysis values to JSON-safe primitives.
 
     Rationals become "p/q" strings (exact); floats are rounded to the
@@ -36,13 +35,13 @@ def jsonable(value: Any) -> Any:
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: jsonable(getattr(value, f.name))
-                for f in fields(value)}
+    if isinstance(value, Value):
+        return {name: jsonable(getattr(value, name))
+                for name in value._fields}
     return value
 
 
-def _recurrence_dict(series: RecurrenceSeries) -> Dict[str, Any]:
+def _recurrence_dict(series: RecurrenceSeries) -> dict[str, object]:
     return {
         "query_steps": list(series.query.steps),
         "query_ratios": list(series.query.ratios),
@@ -63,10 +62,10 @@ def _recurrence_dict(series: RecurrenceSeries) -> Dict[str, Any]:
 
 def build_report(piece: Piece, source: str, config: AnalysisConfig,
                  version: str,
-                 climax: Optional[ClimaxProfile] = None,
-                 recurrence: Optional[RecurrenceSeries] = None,
-                 form: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-    report: Dict[str, Any] = {
+                 climax: ClimaxProfile | None = None,
+                 recurrence: RecurrenceSeries | None = None,
+                 form: dict[str, object] | None = None) -> dict[str, object]:
+    report: dict[str, object] = {
         "source": source,
         "title": piece.title,
         "key": key_name(piece.key) if piece.key else None,
@@ -85,7 +84,7 @@ def build_report(piece: Piece, source: str, config: AnalysisConfig,
     return report
 
 
-def render_json(obj: Any) -> str:
+def render_json(obj: object) -> str:
     return json.dumps(jsonable(obj), sort_keys=True, ensure_ascii=False,
                       indent=2) + "\n"
 

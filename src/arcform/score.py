@@ -10,15 +10,15 @@ from __future__ import annotations
 import heapq
 import warnings
 from collections import defaultdict
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import add, itemgetter, le, sub
-from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import AnalysisError, MidiError, NotesParseError
+from .value import Value
 
 __all__ = [
     "MAX_SCALE_BITS",
@@ -40,7 +40,7 @@ _MODES = ("major", "minor")
 MAX_SCALE_BITS = 1024  # of a .notes tick scale; a MIDI division takes 15
 
 
-def parse_key_name(tonic: str, mode: str) -> Tuple[int, str]:
+def parse_key_name(tonic: str, mode: str) -> tuple[int, str]:
     """Turn e.g. ("F#", "minor") into (6, "minor")."""
     if not tonic or tonic[0].upper() not in _LETTER_PC:
         raise ValueError(f"unknown tonic letter {tonic!r}")
@@ -58,33 +58,27 @@ def parse_key_name(tonic: str, mode: str) -> Tuple[int, str]:
     return pc % 12, mode
 
 
-def key_name(key: Tuple[int, str]) -> str:
+def key_name(key: tuple[int, str]) -> str:
     tonic, mode = key
     return f"{_PC_NAME[tonic % 12]} {mode}"
 
 
-@dataclass(frozen=True)
-class NoteEvent:
+class NoteEvent(Value):
     """A single timed pitched event. Times are in beats."""
 
-    onset: Fraction
-    duration: Fraction
-    pitch: int
-    velocity: int = 64
-    voice: int = 0
+    _fields = ("onset", "duration", "pitch", "velocity", "voice")
 
-    def __post_init__(self):
+    def __init__(self, onset: Fraction, duration: Fraction, pitch: int,
+                 velocity: int = 64, voice: int = 0) -> None:
         # a Fraction's denominator is positive, so its sign is the
         # numerator's; only other types (subclasses too) are converted
-        onset, duration = self.onset, self.duration
         if type(onset) is not Fraction:
             onset = Fraction(onset)
-            object.__setattr__(self, "onset", onset)
         if type(duration) is not Fraction:
             duration = Fraction(duration)
-            object.__setattr__(self, "duration", duration)
-        _check_note(onset.numerator, duration.numerator, self.pitch,
-                    self.velocity)
+        _check_note(onset.numerator, duration.numerator, pitch, velocity)
+        vars(self).update(onset=onset, duration=duration, pitch=pitch,
+                          velocity=velocity, voice=voice)
 
     @property
     def end(self) -> Fraction:
@@ -104,8 +98,7 @@ def _check_note(onset: int, duration: int, pitch: int, velocity: int) -> None:
         raise ValueError("velocity out of range")
 
 
-@dataclass(frozen=True, init=False)
-class Part:
+class Part(Value):
     """One voice as integer columns, sorted stably by (onset, pitch).
 
     Note i starts at `onsets[i]` and lasts `durations[i]` ticks of
@@ -116,15 +109,18 @@ class Part:
     one from `NoteEvent`s; `events` builds them back on first access.
     """
 
+    _fields = ("voice", "scale", "onsets", "durations", "pitches",
+               "velocities", "voices")
     voice: int
     scale: int
-    onsets: Tuple[int, ...]
-    durations: Tuple[int, ...]
-    pitches: Tuple[int, ...]
-    velocities: Tuple[int, ...]
-    voices: Tuple[int, ...]
+    onsets: tuple[int, ...]
+    durations: tuple[int, ...]
+    pitches: tuple[int, ...]
+    velocities: tuple[int, ...]
+    voices: tuple[int, ...]
 
-    def __init__(self, voice: int = 0, events: Iterable[NoteEvent] = ()):
+    def __init__(self, voice: int = 0,
+                 events: Iterable[NoteEvent] = ()) -> None:
         events = tuple(events)
         scale = lcm(*{e.onset.denominator for e in events},
                     *{e.duration.denominator for e in events})
@@ -175,7 +171,7 @@ class Part:
                           velocities=velocities, voices=voices)
 
     @cached_property
-    def events(self) -> Tuple[NoteEvent, ...]:
+    def events(self) -> tuple[NoteEvent, ...]:
         """The notes as `NoteEvent`s, built on first access and kept."""
         beats = {t: Fraction(t, self.scale)
                  for t in {*self.onsets, *self.durations}}
@@ -192,28 +188,27 @@ class Part:
         return all(map(le, ends, self.onsets[1:]))
 
 
-@dataclass(frozen=True)
-class Piece:
-    parts: Tuple[Part, ...] = ()
-    key: Optional[Tuple[int, str]] = None
-    title: str = ""
+class Piece(Value):
+    _fields = ("parts", "key", "title")
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if self.key is not None:
-            tonic, mode = self.key
+    def __init__(self, parts: Iterable[Part] = (),
+                 key: tuple[int, str] | None = None, title: str = "") -> None:
+        parts = tuple(parts)
+        if key is not None:
+            tonic, mode = key
             if not 0 <= tonic <= 11 or mode not in _MODES:
-                raise ValueError(f"bad key {self.key!r}")
+                raise ValueError(f"bad key {key!r}")
+        vars(self).update(parts=parts, key=key, title=title)
 
     @cached_property
-    def timeline(self) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    def timeline(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """`(scale, onsets, ends)`: every event of `all_events()` in whole
         ticks of 1/scale beat, where scale is the lcm of the parts'
         scales. Computed once per piece; exact, so any order or difference
         of ticks is that of the beats."""
         scale = lcm(*[p.scale for p in self.parts])
-        onsets: List[int] = []
-        ends: List[int] = []
+        onsets: list[int] = []
+        ends: list[int] = []
         for p in self.parts:
             on, dur = p.onsets, p.durations
             if p.scale != scale:
@@ -223,7 +218,7 @@ class Piece:
             ends += map(add, on, dur)
         return scale, tuple(onsets), tuple(ends)
 
-    def column(self, name: str) -> List[int]:
+    def column(self, name: str) -> list[int]:
         """One of the parts' integer columns (`pitches`, `velocities` or
         `voices`) over every note, in `all_events()` order."""
         return list(chain.from_iterable(getattr(p, name)
@@ -235,21 +230,21 @@ class Piece:
         scale, _, ends = self.timeline
         return Fraction(max(ends, default=0), scale)
 
-    def all_events(self) -> Tuple[NoteEvent, ...]:
+    def all_events(self) -> tuple[NoteEvent, ...]:
         return tuple(e for p in self.parts for e in p.events)
 
 
 def parse_text(source: str) -> Piece:
     """Parse the canonical .notes text format into a Piece."""
-    key: Optional[Tuple[int, str]] = None
-    title: Optional[str] = None
+    key: tuple[int, str] | None = None
+    title: str | None = None
     # per voice, its notes' onset token, duration token, pitch and
     # velocity, one note after another in one flat list
     by_voice: defaultdict[int, list] = defaultdict(list)
-    beats: dict[str, Tuple[int, int]] = {}
+    beats: dict[str, tuple[int, int]] = {}
     scale = 1  # the lcm of the denominators in `beats`
 
-    def parse_beat(token: str) -> Tuple[int, int]:
+    def parse_beat(token: str) -> tuple[int, int]:
         """A new beat token as its reduced (numerator, denominator), with
         a positive denominator, kept in `beats` for the token's next use:
         durations repeat heavily and onsets repeat across voices."""
@@ -336,7 +331,7 @@ def serialize_text(piece: Piece) -> str:
 
 # --- Standard MIDI File import -------------------------------------------
 
-def _read_varlen(data: bytes, pos: int) -> Tuple[int, int]:
+def _read_varlen(data: bytes, pos: int) -> tuple[int, int]:
     value = 0
     for _ in range(4):
         if pos >= len(data):
@@ -352,10 +347,10 @@ def _read_varlen(data: bytes, pos: int) -> Tuple[int, int]:
 def _track_events(chunk: bytes, division: int, voice: int) -> Part:
     """One MTrk chunk's notes as a part, sorted by (onset, pitch); equal
     ones stay in the order they closed."""
-    notes: List[int] = []  # start, length, pitch, velocity of each note
+    notes: list[int] = []  # start, length, pitch, velocity of each note
     # per channel << 7 | pitch, the tick and velocity of each open note,
     # oldest first, one after another in one flat list
-    open_notes: dict[int, List[int]] = {}
+    open_notes: dict[int, list[int]] = {}
     pos = tick = status = 0
     size = len(chunk)
     while pos < size:
@@ -484,9 +479,9 @@ def skyline(piece: Piece) -> Part:
                                       ("pitches", "velocities", "voices"))
     boundaries = sorted(set(onsets).union(ends))
     by_onset = sorted(range(len(onsets)), key=onsets.__getitem__)
-    heap: list[Tuple[int, int, int, int]] = []
+    heap: list[tuple[int, int, int, int]] = []
     pushed = 0
-    segments: list[Tuple[int, int, int]] = []
+    segments: list[tuple[int, int, int]] = []
     for lo, hi in zip(boundaries, boundaries[1:]):
         while pushed < len(by_onset) and onsets[by_onset[pushed]] <= lo:
             i = by_onset[pushed]

@@ -556,3 +556,26 @@ def test_demo_analysis_script_runs():
         env={**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")})
     assert res.returncode == 0, res.stderr
     assert "<- outlier" in res.stdout
+
+
+# --- start-up --------------------------------------------------------------------
+
+def test_import_loads_no_dataclasses_typing_pathlib_or_statistics(
+        fixtures_dir):
+    # -S: a site-packages .pth file may load typing or pathlib in advance
+    heavy = ("dataclasses", "inspect", "typing", "pathlib", "statistics")
+    env = {**os.environ, "PYTHONPATH": str(PKG_ROOT / "src")}
+    res = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys, arcform.cli; print([m for m in {heavy!r} "
+         f"if m in sys.modules])"],
+        capture_output=True, text=True, env=env, cwd=PKG_ROOT)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+    # corpus, which imports statistics itself, still summarises
+    res = subprocess.run(
+        [sys.executable, "-S", "-m", "arcform", "corpus",
+         fixtures_dir / "corpus"],
+        capture_output=True, text=True, env=env, cwd=PKG_ROOT)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "summary,3,0.500000,0.500000,"
