@@ -14,13 +14,14 @@ __all__ = ["AnalysisConfig", "DEFAULTS", "check_weights", "check_window",
 
 
 def check_weights(weights: Sequence[float], count: int) -> None:
-    """Raise AnalysisError unless weights are `count` nonnegative real
-    numbers summing to 1. The tests are positive, so NaN fails them."""
-    if not (len(weights) == count
+    """Raise AnalysisError unless weights are a sequence of `count`
+    nonnegative real numbers summing to 1. The tests are positive, so
+    NaN fails them."""
+    if not (hasattr(weights, "__len__") and len(weights) == count
             and all(isinstance(w, Real) and w >= 0 for w in weights)
             and abs(sum(weights) - 1.0) <= 1e-9):
         raise AnalysisError(f"weights must be {count} nonnegative values "
-                            f"summing to 1, got {tuple(weights)}")
+                            f"summing to 1, got {weights!r}")
 
 
 def _fraction(value: object) -> Fraction:

@@ -59,6 +59,7 @@ def test_a_window_is_kept_as_an_exact_fraction(window, expected):
     lambda: check_weights(("a", 0.5, 0.5), 3),
     lambda: check_weights((None, 1.0), 2),
     lambda: check_weights((0.5, 0.5j), 2),
+    lambda: check_weights(None, 3),
     lambda: AnalysisConfig(w_pitch="0.4"),
     lambda: AnalysisConfig(sim_rhythm=None),
     lambda: AnalysisConfig(threshold="x"),
@@ -66,9 +67,9 @@ def test_a_window_is_kept_as_an_exact_fraction(window, expected):
     lambda: salience_curve(PIECE, weights=("x", 0.5, 0.5)),
     lambda: similarity(IntervalProfile((), ()), IntervalProfile((), ()),
                        weights=(1.0, "0")),
-], ids=["weights-str", "weights-none", "weights-complex", "config-weight",
-        "config-similarity-weight", "threshold-str", "threshold-none",
-        "salience-weights", "similarity-weights"])
+], ids=["weights-str", "weights-none", "weights-complex", "no-weights",
+        "config-weight", "config-similarity-weight", "threshold-str",
+        "threshold-none", "salience-weights", "similarity-weights"])
 def test_a_weight_or_threshold_that_is_not_a_real_number_is_an_analysis_error(
         build):
     with pytest.raises(AnalysisError):
