@@ -2,6 +2,7 @@
 constructor signatures and JSON rendering, pinned for all twelve."""
 
 import copy
+import importlib
 import inspect
 import json
 import pickle
@@ -260,3 +261,10 @@ def test_constructors_store_sequences_as_tuples():
     assert Node([A, B]).children == (A, B)
     assert AnalysisConfig(window=3).window == F(3)
     assert type(AnalysisConfig(window="3/2").window) is F
+
+
+@pytest.mark.parametrize("module", ["score", "climax", "config", "grammar",
+                                    "recurrence", "report"])
+def test_every_public_name_imports(module):
+    mod = importlib.import_module(f"arcform.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
