@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Real
 
 from .errors import AnalysisError, ArcformError
 from .value import Value
 
-__all__ = ["AnalysisConfig", "DEFAULTS", "check_weights", "check_window",
-           "parse_setting", "read_settings"]
+__all__ = ["AnalysisConfig", "DEFAULTS", "check_threshold", "check_weights",
+           "check_window", "parse_setting", "read_settings"]
 
 
 def check_weights(weights: Sequence[float], count: int) -> None:
@@ -24,10 +25,20 @@ def check_weights(weights: Sequence[float], count: int) -> None:
                             f"summing to 1, got {weights!r}")
 
 
+def check_threshold(threshold: object) -> None:
+    """Raise AnalysisError unless the threshold is a real number in
+    (0, 1]. A `Decimal` is not a `numbers.Real`, so it is refused."""
+    if not (isinstance(threshold, Real) and 0 < threshold <= 1):
+        raise AnalysisError("threshold must be in (0, 1]")
+
+
 def _fraction(value: object) -> Fraction:
     """`Fraction(value)`, but a string may hold no exponent: Fraction
     expands a decimal exponent in full, in time that grows faster than
-    the exponent."""
+    the exponent. A `Decimal` is read as its string, so the same rule
+    holds for it."""
+    if isinstance(value, Decimal):
+        value = str(value)
     if isinstance(value, str) and ("e" in value or "E" in value):
         raise ValueError(f"exponent in {value!r}")
     return Fraction(value)
@@ -61,8 +72,7 @@ class AnalysisConfig(Value):
         check_weights((w_pitch, w_density, w_velocity), 3)
         check_weights((sim_pitch, sim_rhythm), 2)
         window = check_window(window)
-        if not (isinstance(threshold, Real) and 0 < threshold <= 1):
-            raise AnalysisError("threshold must be in (0, 1]")
+        check_threshold(threshold)
         vars(self).update(window=window, w_pitch=w_pitch,
                           w_density=w_density, w_velocity=w_velocity,
                           sim_pitch=sim_pitch, sim_rhythm=sim_rhythm,

@@ -16,7 +16,7 @@ from itertools import compress
 from math import gcd, lcm
 from operator import floordiv, sub
 
-from .config import DEFAULTS, check_weights
+from .config import DEFAULTS, check_threshold, check_weights
 from .errors import AnalysisError
 from .score import Part, Piece, skyline
 from .value import Value
@@ -231,8 +231,7 @@ def find_recurrences(piece: Piece, query: Part,
     """
     if len(query) < 2:
         raise AnalysisError("query shorter than 2 notes")
-    if not 0 < threshold <= 1:
-        raise AnalysisError("threshold must be in (0, 1]")
+    check_threshold(threshold)
     check_weights(weights, 2)
     qprof = interval_profile(query)
     n = len(query)
@@ -293,6 +292,15 @@ def find_recurrences(piece: Piece, query: Part,
     # is that last note: `part_ends` shifted down 0 .. t - 1 lanes
     crossing = 0
     candidates = []
+    # Per lane, the best similarity of a candidate so far that starts
+    # there, and of one that ends there. A window is dropped when a
+    # shorter one from its start scores at least as high, or one to its
+    # end that starts later (so is shorter, seen at an earlier t) scores
+    # strictly higher. That window sorts before it below and lies inside
+    # it, so whatever takes or blocks that window blocks this one: the
+    # matches do not change.
+    best_from = [0.0] * lanes
+    best_to = [0.0] * lanes
     for t, (d_steps, d_ratios) in enumerate(passes, 1):
         crossing = (crossing >> width) | part_ends
         if t + 1 < lo:
@@ -314,9 +322,13 @@ def find_recurrences(piece: Piece, query: Part,
             sim = scores.get(key)
             if sim is None:
                 sim = scores[key] = _score(*key, *weight_ticks)
-            if sim >= threshold:
-                candidates.append((-sim, voices[start], onsets[start],
-                                   ends[start + t]))
+            if sim >= threshold and sim > best_from[start]:
+                best_from[start] = sim
+                last = start + t
+                if sim >= best_to[last]:
+                    best_to[last] = sim
+                    candidates.append((-sim, voices[start], onsets[start],
+                                       ends[last]))
 
     # greedy by descending similarity; a candidate overlapping a chosen
     # one in the same voice is dropped. The chosen spans of one voice are

@@ -257,10 +257,12 @@ def parse_text(source: str) -> Piece:
             num, den = num // unit, den // unit
         else:
             num, den = int(token), 1
-        scale = lcm(scale, den)
-        if scale.bit_length() > MAX_SCALE_BITS:
-            raise NotesParseError(f"beats need a {scale.bit_length()}-bit "
-                                  f"tick scale, over {MAX_SCALE_BITS}", lineno)
+        if scale % den:
+            scale = lcm(scale, den)
+            if scale.bit_length() > MAX_SCALE_BITS:
+                raise NotesParseError(
+                    f"beats need a {scale.bit_length()}-bit tick scale, "
+                    f"over {MAX_SCALE_BITS}", lineno)
         value = beats[token] = (num, den)
         return value
 
@@ -289,21 +291,26 @@ def parse_text(source: str) -> Piece:
             else:
                 raise NotesParseError(f"unknown metadata tag {tag}", lineno)
             continue
-        if not 3 <= len(fields) <= 5:
-            raise NotesParseError("wrong field count", lineno)
+        if len(fields) != 5:
+            if not 3 <= len(fields) <= 4:
+                raise NotesParseError("wrong field count", lineno)
+            fields += ("64", "0")[len(fields) - 3:]
+        on_token, dur_token, pitch, velocity, voice = fields
         try:
-            onset = beats.get(fields[0]) or parse_beat(fields[0])
-            duration = beats.get(fields[1]) or parse_beat(fields[1])
-            pitch = int(fields[2])
-            velocity = int(fields[3]) if len(fields) >= 4 else 64
-            voice = int(fields[4]) if len(fields) >= 5 else 0
+            onset = beats.get(on_token) or parse_beat(on_token)
+            duration = beats.get(dur_token) or parse_beat(dur_token)
+            pitch, velocity, voice = int(pitch), int(velocity), int(voice)
         except (ValueError, ZeroDivisionError) as exc:
             raise NotesParseError("non-numeric field", lineno) from exc
-        try:
-            _check_note(onset[0], duration[0], pitch, velocity)
-        except ValueError as exc:
-            raise NotesParseError(str(exc), lineno) from exc
-        by_voice[voice].extend((fields[0], fields[1], pitch, velocity))
+        # `_check_note`'s ranges, tested inline; it is called only to
+        # name the first fault
+        if (duration[0] <= 0 or onset[0] < 0 or not 0 <= pitch <= 127
+                or not 1 <= velocity <= 127):
+            try:
+                _check_note(onset[0], duration[0], pitch, velocity)
+            except ValueError as exc:
+                raise NotesParseError(str(exc), lineno) from exc
+        by_voice[voice].extend((on_token, dur_token, pitch, velocity))
     # every beat in ticks of one scale; each part then reduces its own
     ticks_of = {token: num * (scale // den)
                 for token, (num, den) in beats.items()}.__getitem__

@@ -10,22 +10,26 @@ scratch instead of one pass per window start, a MIDI reader that builds
 each note's `Fraction`s as it closes, a recursive-descent tree parser
 instead of an explicit stack, a from-scratch MIDI byte writer, and
 tonal analyses that read each note as a `NoteEvent` with `Fraction`
-times instead of the integer columns.
+times instead of the integer columns, and a `.notes` reader that checks
+each note through one call and grows the tick scale at every new token.
 """
 
 from __future__ import annotations
 
 import struct
 import warnings
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Optional, Sequence, Set, Tuple
 
-from arcform.errors import AnalysisError, GrammarError
+from arcform.errors import AnalysisError, GrammarError, NotesParseError
 from arcform.grammar import FormTree, Leaf, Node
 from arcform.recurrence import (IntervalProfile, RecurrenceMatch,
                                 RecurrenceSeries, diatonic_set)
-from arcform.score import NoteEvent, Part, Piece
+from arcform.score import (MAX_SCALE_BITS, NoteEvent, Part, Piece,
+                           _check_note, parse_key_name)
 
 
 def recursive_edit_distance(a: Sequence, b: Sequence) -> int:
@@ -100,6 +104,83 @@ def oracle_parse_tree(text: str) -> FormTree:
     if pos != len(tokens):
         raise GrammarError("trailing tokens after tree")
     return tree
+
+
+def oracle_parse_text(source: str) -> Piece:
+    """The .notes reader with one `_check_note` call per note line, the
+    field count tested before any field is read, and the scale's lcm
+    taken at every new beat token."""
+    key: Optional[Tuple[int, str]] = None
+    title: Optional[str] = None
+    by_voice: defaultdict = defaultdict(list)
+    beats: dict = {}
+    scale = 1
+
+    def parse_beat(token: str) -> Tuple[int, int]:
+        nonlocal scale
+        if "/" in token:
+            num, den = map(int, token.split("/", 1))
+            if not den:
+                raise ZeroDivisionError(f"beat {token!r}")
+            unit = gcd(num, den) if den > 0 else -gcd(num, den)
+            num, den = num // unit, den // unit
+        else:
+            num, den = int(token), 1
+        scale = lcm(scale, den)
+        if scale.bit_length() > MAX_SCALE_BITS:
+            raise NotesParseError(f"beats need a {scale.bit_length()}-bit "
+                                  f"tick scale, over {MAX_SCALE_BITS}", lineno)
+        value = beats[token] = (num, den)
+        return value
+
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        if fields[0][0] == "@":
+            fields = raw.strip().split(None, 1)
+            tag = fields[0]
+            rest = fields[1].strip() if len(fields) > 1 else ""
+            if tag == "@key":
+                if key is not None:
+                    raise NotesParseError("duplicate @key", lineno)
+                parts = rest.split()
+                if len(parts) != 2:
+                    raise NotesParseError("@key needs tonic and mode", lineno)
+                try:
+                    key = parse_key_name(parts[0], parts[1])
+                except ValueError as exc:
+                    raise NotesParseError(str(exc), lineno) from exc
+            elif tag == "@title":
+                if title is not None:
+                    raise NotesParseError("duplicate @title", lineno)
+                title = rest
+            else:
+                raise NotesParseError(f"unknown metadata tag {tag}", lineno)
+            continue
+        if not 3 <= len(fields) <= 5:
+            raise NotesParseError("wrong field count", lineno)
+        try:
+            onset = beats.get(fields[0]) or parse_beat(fields[0])
+            duration = beats.get(fields[1]) or parse_beat(fields[1])
+            pitch = int(fields[2])
+            velocity = int(fields[3]) if len(fields) >= 4 else 64
+            voice = int(fields[4]) if len(fields) >= 5 else 0
+        except (ValueError, ZeroDivisionError) as exc:
+            raise NotesParseError("non-numeric field", lineno) from exc
+        try:
+            _check_note(onset[0], duration[0], pitch, velocity)
+        except ValueError as exc:
+            raise NotesParseError(str(exc), lineno) from exc
+        by_voice[voice].extend((fields[0], fields[1], pitch, velocity))
+    ticks_of = {token: num * (scale // den)
+                for token, (num, den) in beats.items()}.__getitem__
+    parts = []
+    for v, notes in sorted(by_voice.items()):
+        parts.append(Part._from_columns(v, scale, [
+            list(map(ticks_of, notes[0::4])), list(map(ticks_of, notes[1::4])),
+            notes[2::4], notes[3::4], [v] * (len(notes) // 4)]))
+    return Piece(parts=tuple(parts), key=key, title=title or "")
 
 
 def oracle_salience_curve(piece, weights, window):

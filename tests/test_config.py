@@ -1,4 +1,6 @@
 import inspect
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -35,19 +37,23 @@ WINDOW_CALLS = {
 
 @pytest.mark.parametrize("window", [
     float("nan"), float("inf"), float("-inf"), None, "abc", "", "1/0",
-    "1e-1000000", "2E1", [4]])
+    "1e-1000000", "2E1", [4], Decimal("1e-1000000"), Decimal("1e1000000"),
+    Decimal("NaN")])
 @pytest.mark.parametrize("call", WINDOW_CALLS)
 def test_a_window_that_is_not_a_finite_number_is_an_analysis_error(
         call, window):
-    # a string follows the CLI's rule: no exponent, which Fraction would
-    # expand in full
+    # a string or Decimal follows the CLI's rule: no exponent, which
+    # Fraction would expand in full
+    began = time.perf_counter()
     with pytest.raises(AnalysisError, match="window must be a finite number"):
         WINDOW_CALLS[call](window)
+    assert time.perf_counter() - began < 0.2
 
 
 @pytest.mark.parametrize("window,expected", [
     ("3/2", Fraction(3, 2)), (" 0.5 ", Fraction(1, 2)), (2, Fraction(2)),
-    (0.25, Fraction(1, 4)), (Fraction(5, 3), Fraction(5, 3))])
+    (0.25, Fraction(1, 4)), (Fraction(5, 3), Fraction(5, 3)),
+    (Decimal("0.5"), Fraction(1, 2))])
 def test_a_window_is_kept_as_an_exact_fraction(window, expected):
     kept = AnalysisConfig(window=window).window
     assert kept == expected and type(kept) is Fraction
@@ -74,3 +80,19 @@ def test_a_weight_or_threshold_that_is_not_a_real_number_is_an_analysis_error(
         build):
     with pytest.raises(AnalysisError):
         build()
+
+
+THRESHOLD_CALLS = {
+    "config": lambda threshold: AnalysisConfig(threshold=threshold),
+    "find_recurrences": lambda threshold: find_recurrences(
+        PIECE, PIECE.parts[0], threshold=threshold),
+}
+
+
+@pytest.mark.parametrize("threshold", [
+    "0.5", None, Decimal("0.5"), [0.5], 0.5j, float("nan"), 0, -0.1, 1.5])
+@pytest.mark.parametrize("call", THRESHOLD_CALLS)
+def test_a_threshold_that_is_not_a_real_in_the_unit_interval_is_an_analysis_error(
+        call, threshold):
+    with pytest.raises(AnalysisError, match=r"threshold must be in \(0, 1\]"):
+        THRESHOLD_CALLS[call](threshold)

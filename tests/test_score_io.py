@@ -2,14 +2,14 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arcform import (AnalysisError, MidiError, NoteEvent, NotesParseError,
                      Part, Piece, import_midi, parse_text, serialize_text,
                      skyline)
 from arcform.score import MAX_SCALE_BITS
 
-from oracles import midi_file, oracle_import_midi
+from oracles import midi_file, oracle_import_midi, oracle_parse_text
 
 
 # --- text format ------------------------------------------------------------
@@ -68,6 +68,62 @@ def test_tick_scale_bound_edge():
                        match="1025-bit tick scale, over 1024, line 3$"):
         parse_text(f"1/{2 ** 1023} 1 60 64 0\n1 1/{2 ** 1023} 60\n"
                    f"0 1/3 62 64 1\n")
+
+
+# Lines for the reader against its oracle: note lines of 2 to 6 fields
+# whose tokens are mostly good, with signs, reducible and zero
+# denominators, digit separators and non-ASCII digits mixed in, and
+# denominators whose lcm crosses MAX_SCALE_BITS within a few lines;
+# comments, blank lines and metadata, good, bad or repeated; any Unicode
+# whitespace between fields and any line break between lines.
+BIG_DENOMINATORS = [3 ** 200, 5 ** 150, 7 ** 120, 11 ** 100, 2 ** 1023,
+                    2 ** 1024]
+beat_tokens = st.one_of(
+    st.integers(0, 8).map(str),
+    st.builds("{}/{}".format, st.integers(0, 9),
+              st.sampled_from([1, 2, 3, 4, 6, 8, 12])),
+    st.builds("{}/{}".format, st.integers(1, 3),
+              st.sampled_from(BIG_DENOMINATORS)),
+    st.sampled_from(["+3", "-1", "-1/-2", "1/-2", "-1/2", "2/4", "0/5",
+                     "1/0", "/0", "1/", "1_0", "1/1_2", "٣",
+                     "٣/٤", "1.5", "x"]))
+int_tokens = st.one_of(
+    st.integers(1, 127).map(str), st.integers(-1, 129).map(str),
+    st.sampled_from(["+3", "-0", "1_0", "٣", "７", "0x1", "x",
+                     "1/2"]))
+note_lines = st.builds(
+    lambda on, dur, rest, seps: "".join(
+        token + sep for token, sep in zip([on, dur, *rest], seps)),
+    beat_tokens, beat_tokens, st.one_of(
+        st.lists(int_tokens, min_size=1, max_size=3),
+        st.lists(int_tokens, max_size=4)),
+    st.lists(st.sampled_from([" ", "  ", "\t", "\u00a0", "\u2003",
+                              "\u3000", " \t"]), min_size=6, max_size=6))
+other_lines = st.sampled_from([
+    "", "   ", "\t", "#", "# comment", "#0 1 60", "  # 0 1 60 64 0",
+    "@title", "@title A piece", "@title\tTabbed  title ", "@key C major",
+    "@key F# minor", "@key Bb MAJOR", "@key\u2003D\u2003minor",
+    "@key H major", "@key C", "@key C major extra", "@key C dorian",
+    "@key Cx major", "@tempo 120", "@"])
+notes_sources = st.lists(st.builds(
+    "{}{}{}".format, st.sampled_from(["", " ", "\t", "\u2003"]),
+    st.one_of(note_lines, note_lines, note_lines, other_lines),
+    st.sampled_from(["\n", "\r\n", "\r", "\u2028", "\x85", "\x1c"])),
+    max_size=12).map("".join)
+
+
+def _parse_outcome(parse, source):
+    try:
+        return parse(source)
+    except NotesParseError as exc:
+        return str(exc), exc.line
+
+
+@settings(max_examples=400, deadline=None)
+@given(notes_sources)
+def test_parse_text_matches_its_oracle(source):
+    assert _parse_outcome(parse_text, source) == \
+        _parse_outcome(oracle_parse_text, source)
 
 
 def test_comments_and_blanks_skipped():
