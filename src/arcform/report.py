@@ -7,8 +7,8 @@ byte-identical output.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .climax import ClimaxProfile
 from .config import AnalysisConfig
@@ -19,6 +19,8 @@ from .value import Value
 __all__ = ["build_report", "render_json", "curve_csv", "jsonable"]
 
 PRECISION = 6
+# float.__repr__ of the values JSON has no literal for, as `json` writes them
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def jsonable(value: object) -> object:
@@ -85,8 +87,85 @@ def build_report(piece: Piece, source: str, config: AnalysisConfig,
 
 
 def render_json(obj: object) -> str:
-    return json.dumps(jsonable(obj), sort_keys=True, ensure_ascii=False,
-                      indent=2) + "\n"
+    """The report text: byte for byte `json.dumps(jsonable(obj),
+    sort_keys=True, ensure_ascii=False, indent=2)` and a newline, written
+    in one pass over `obj`."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+# The writer is module-level functions, not closures inside render_json:
+# a nested function that calls itself is a reference cycle, which would
+# keep each call's fragments alive until the cyclic collector runs.
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(round(value, PRECISION))
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _write(value: object, nl: str, out: list[str]) -> None:
+    """Append the JSON text of `jsonable(value)` to `out`; `nl` is the
+    newline and indent of the line `value` starts on. Tests in
+    `jsonable`'s order, then in `json`'s."""
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, Fraction):
+        out.append(encode_basestring(str(value)))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, dict):
+        _write_object({str(k): v for k, v in value.items()}, nl, out)
+    elif isinstance(value, (list, tuple)):
+        _write_array(value, nl, out)
+    elif isinstance(value, Value):
+        _write_object({name: getattr(value, name) for name in value._fields},
+                      nl, out)
+    elif isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        f"is not JSON serializable")
+
+
+def _write_array(items: list | tuple, nl: str, out: list[str]) -> None:
+    if not items:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for item in items:
+        if (type(item) is tuple and len(item) == 2
+                and type(item[0]) is Fraction and type(item[1]) is float):
+            # a salience curve's (time, salience) row, in one string
+            out.append(f'{sep}[{inner}  "{item[0]!s}",{inner}  '
+                       f'{_float_text(item[1])}{inner}]')
+        else:
+            out.append(sep)
+            _write(item, inner, out)
+        sep = "," + inner
+    out.append(nl + "]")
+
+
+def _write_object(fields: dict[str, object], nl: str,
+                  out: list[str]) -> None:
+    if not fields:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for key in sorted(fields):
+        out.append(f"{sep}{encode_basestring(key)}: ")
+        _write(fields[key], inner, out)
+        sep = "," + inner
+    out.append(nl + "}")
 
 
 def curve_csv(profile: ClimaxProfile) -> str:

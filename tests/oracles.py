@@ -1,7 +1,8 @@
 """Independent oracles the tests check the library against.
 
 Deliberately written with different algorithms than the implementations
-they verify: plain recursion instead of the bit-vector edit distance,
+they verify: plain recursion and the Wagner–Fischer table instead of the
+bit-vector edit distance,
 string rewriting instead of tree rewriting, a per-window sum over every
 event instead of prefix integrals, a climax found by comparing times
 instead of by its index, a scan of every event at every
@@ -10,12 +11,15 @@ scratch instead of one pass per window start, a MIDI reader that builds
 each note's `Fraction`s as it closes, a recursive-descent tree parser
 instead of an explicit stack, a from-scratch MIDI byte writer, and
 tonal analyses that read each note as a `NoteEvent` with `Fraction`
-times instead of the integer columns, and a `.notes` reader that checks
-each note through one call and grows the tick scale at every new token.
+times instead of the integer columns, a `.notes` reader that checks
+each note through one call and grows the tick scale at every new token,
+and the report text from the standard library's JSON encoder instead of
+the one-pass writer.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 import warnings
 from collections import defaultdict
@@ -28,6 +32,7 @@ from arcform.errors import AnalysisError, GrammarError, NotesParseError
 from arcform.grammar import FormTree, Leaf, Node
 from arcform.recurrence import (IntervalProfile, RecurrenceMatch,
                                 RecurrenceSeries, diatonic_set)
+from arcform.report import jsonable
 from arcform.score import (MAX_SCALE_BITS, NoteEvent, Part, Piece,
                            _check_note, parse_key_name)
 
@@ -49,13 +54,25 @@ def recursive_edit_distance(a: Sequence, b: Sequence) -> int:
     return go(0, 0)
 
 
+def table_edit_distance(a: Sequence, b: Sequence) -> int:
+    """Unit-cost edit distance by the Wagner–Fischer table, one row at a
+    time."""
+    row = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        prev, row = row, [i]
+        for j, y in enumerate(b, 1):
+            row.append(min(prev[j] + 1, row[j - 1] + 1,
+                           prev[j - 1] + (x != y)))
+    return row[-1]
+
+
 def oracle_similarity(steps_a, ratios_a, steps_b, ratios_b,
                       w_pitch: float, w_rhythm: float) -> float:
     if not steps_a and not steps_b:
         return 1.0
     denom = max(len(steps_a), len(steps_b))
-    d = (Fraction(w_pitch) * Fraction(recursive_edit_distance(steps_a, steps_b), denom)
-         + Fraction(w_rhythm) * Fraction(recursive_edit_distance(ratios_a, ratios_b), denom))
+    d = (Fraction(w_pitch) * Fraction(table_edit_distance(steps_a, steps_b), denom)
+         + Fraction(w_rhythm) * Fraction(table_edit_distance(ratios_a, ratios_b), denom))
     return float(min(Fraction(1), max(Fraction(0), 1 - d)))
 
 
@@ -449,6 +466,13 @@ def oracle_import_midi(data: bytes) -> Piece:
                                        division, len(parts)))
         pos += 8 + length
     return Piece(parts=tuple(parts))
+
+
+def oracle_render_json(obj: object) -> str:
+    """The report text by the standard library: `json.dumps` over
+    `jsonable`."""
+    return json.dumps(jsonable(obj), sort_keys=True, ensure_ascii=False,
+                      indent=2) + "\n"
 
 
 # --- minimal Standard MIDI File writer -------------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from arcform import (AnalysisError, NoteEvent, Part, Piece,
                      chromaticism_index, classify_cadence, climax_profile,
@@ -14,7 +14,8 @@ from arcform.recurrence import (MAJOR_SET, NATURAL_MINOR_SET,
 
 from oracles import (oracle_chromaticism_index, oracle_classify_cadence,
                      oracle_find_recurrences, oracle_similarity,
-                     oracle_skyline, recursive_edit_distance)
+                     oracle_skyline, recursive_edit_distance,
+                     table_edit_distance)
 
 
 def melody(pitches, durations=None, start=0, voice=0):
@@ -155,6 +156,8 @@ def test_prefix_distances_match_recursive_oracle(pattern, text):
     assert prefix_distances(pattern, text) == [
         recursive_edit_distance(pattern, text[:k])
         for k in range(len(text) + 1)]
+    assert table_edit_distance(pattern, text) == \
+        recursive_edit_distance(pattern, text)
 
 
 def test_prefix_distances_empty_query_and_empty_text():
@@ -296,8 +299,13 @@ def recurrence_cases(draw, notes=st.integers(2, 8), max_parts=3,
     return piece, query, threshold, weights
 
 
+# A failing example is reported as drawn: shrinking it would rerun the
+# oracle, which scores every window from scratch, for minutes.
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
+
+
 @given(recurrence_cases())
-@settings(deadline=None)
+@settings(deadline=None, phases=NO_SHRINK)
 def test_find_recurrences_matches_oracle(case):
     piece, query, threshold, weights = case
     assert find_recurrences(piece, query, threshold, weights) == \
@@ -306,7 +314,7 @@ def test_find_recurrences_matches_oracle(case):
 
 @pytest.mark.parametrize("notes", [2, 16, 17, 33])
 @given(data=st.data())
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=NO_SHRINK)
 def test_find_recurrences_matches_oracle_at_lane_width_edges(notes, data):
     # profiles of 1, 15, 16 and 32 intervals: the narrowest pattern and
     # each side of the 16- and 32-bit lanes; the parts that are not empty
