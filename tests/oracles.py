@@ -1,20 +1,19 @@
 """Independent oracles the tests check the library against.
 
 Deliberately written with different algorithms than the implementations
-they verify: plain recursion and the Wagner–Fischer table instead of the
-bit-vector edit distance,
-string rewriting instead of tree rewriting, a per-window sum over every
-event instead of prefix integrals, a climax found by comparing times
-instead of by its index, a scan of every event at every
-boundary instead of a heap sweep, every recurrence window scored from
-scratch instead of one pass per window start, a MIDI reader that builds
-each note's `Fraction`s as it closes, a recursive-descent tree parser
-instead of an explicit stack, a from-scratch MIDI byte writer, and
-tonal analyses that read each note as a `NoteEvent` with `Fraction`
-times instead of the integer columns, a `.notes` reader that checks
-each note through one call and grows the tick scale at every new token,
-and the report text from the standard library's JSON encoder instead of
-the one-pass writer.
+they verify: plain recursion and a Wagner–Fischer table instead of the
+bit-vector edit distance, string rewriting instead of tree rewriting, a
+per-window sum over every event instead of prefix integrals, a climax
+found by comparing times instead of by its index, a scan of every event
+at every boundary instead of a heap sweep, every recurrence window
+scored from scratch instead of one pass per window start, a MIDI reader
+that builds each note's `Fraction`s as it closes, a recursive-descent
+tree parser instead of an explicit stack, a from-scratch MIDI byte
+writer, tonal analyses that read each note as a `NoteEvent` with
+`Fraction` times instead of the integer columns, a `.notes` reader that
+checks each note through one call and grows the tick scale at every new
+token, and the report text from the standard library's JSON encoder
+instead of the one-pass writer.
 """
 
 from __future__ import annotations

@@ -68,7 +68,7 @@ REPORT = build_report(
     REPORT, None, True, False, 10**30, -1, -0.0, 1e-7, -1e-7, 1e16, 1e300,
     NAN, INF, -INF, 0.1234567, F(-3, 2), F(4), "é\udcff\"\\\x00",
     {2: "a", 10: "b", True: 1, "True": 2, 1: 3, "1": 4}, [], (), {}, [[], {}],
-    (), ((F(1), 0.5),), ((F(1, 3), 0.1234567), (F(-2), NAN)),
+    ((F(1), 0.5),), ((F(1, 3), 0.1234567), (F(-2), NAN)),
     [[F(1), 0.5]], ((1, 0.5),), ((F(1), 1),), ((F(1), 0.5, 0.5),),
     ((F(1), 0.5), [F(1), 0.5], (F(1), 1)),
     AnalysisConfig(), IntervalProfile((), ())])
