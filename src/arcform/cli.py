@@ -40,7 +40,8 @@ def load_piece(path: str) -> Piece:
                 text = handle.read()
         except UnicodeDecodeError as exc:
             raise ScoreFormatError(f"{path}: not UTF-8 text") from exc
-        return parse_text(text)
+        # one byte-order mark, as some editors write, is not the text
+        return parse_text(text.removeprefix("\ufeff"))
     if suffix in (".mid", ".midi"):
         with open(path, "rb") as handle:
             data = handle.read()

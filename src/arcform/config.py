@@ -114,7 +114,7 @@ def read_settings(path: str) -> dict[str, object]:
     """The parsed settings of a key=value config file; a later line wins."""
     try:
         with open(path, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            lines = handle.read().removeprefix("\ufeff").splitlines()
     except UnicodeDecodeError as exc:
         raise ArcformError(f"{path}: not UTF-8 text") from exc
     settings: dict[str, object] = {}

@@ -101,6 +101,12 @@ def render_json(obj: object) -> str:
 # keep each call's fragments alive until the cyclic collector runs.
 
 def _float_text(value: float) -> str:
+    """`json`'s text of `round(value, PRECISION)`. In the range tested
+    that rounded value has at most 15 significant digits, so its
+    shortest repr is its fixed-point text without the trailing zeros."""
+    if 1e-4 <= abs(value) < 1e9:
+        text = ("%.6f" % value).rstrip("0")
+        return text + "0" if text[-1] == "." else text
     text = float.__repr__(round(value, PRECISION))
     return _FLOAT_WORDS.get(text, text)
 

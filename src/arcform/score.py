@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import heapq
 import warnings
+from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import add, itemgetter, le, sub
+from operator import add, floordiv, itemgetter, le, sub
 
 from .errors import AnalysisError, MidiError, NotesParseError
 from .value import Value
@@ -234,8 +235,153 @@ class Piece(Value):
         return tuple(e for p in self.parts for e in p.events)
 
 
+# The canonical decimal spelling of each 7-bit value: the pitches,
+# velocities and voices that the columnar reader takes as they are
+_SEVEN_BIT = {str(i): i for i in range(128)}
+# note lines split at once: their tokens are the columnar reader's one
+# transient copy of the text, and at 128 lines its peak memory stays
+# under the line loop's
+_BLOCK_LINES = 128
+
+
 def parse_text(source: str) -> Piece:
-    """Parse the canonical .notes text format into a Piece."""
+    """Parse the canonical .notes text format into a Piece.
+
+    A regular file is read a column at a time (`_parse_columns`); any
+    other file, and any file with a fault, is read by the line loop
+    (`_parse_lines`), which names the first fault and its line."""
+    lines = source.splitlines()
+    piece = _parse_columns(lines)
+    return _parse_lines(lines) if piece is None else piece
+
+
+def _read_tag(raw: str, lineno: int, key: tuple[int, str] | None,
+              title: str | None) -> tuple[tuple[int, str] | None, str | None]:
+    """The key and title after the `@` line `raw`."""
+    fields = raw.strip().split(None, 1)
+    tag = fields[0]
+    rest = fields[1].strip() if len(fields) > 1 else ""
+    if tag == "@key":
+        if key is not None:
+            raise NotesParseError("duplicate @key", lineno)
+        parts = rest.split()
+        if len(parts) != 2:
+            raise NotesParseError("@key needs tonic and mode", lineno)
+        try:
+            key = parse_key_name(parts[0], parts[1])
+        except ValueError as exc:
+            raise NotesParseError(str(exc), lineno) from exc
+    elif tag == "@title":
+        if title is not None:
+            raise NotesParseError("duplicate @title", lineno)
+        title = rest
+    else:
+        raise NotesParseError(f"unknown metadata tag {tag}", lineno)
+    return key, title
+
+
+def _parse_columns(lines: list[str]) -> Piece | None:
+    """The piece of a regular file, or None for any other.
+
+    A regular file is leading blank, comment and `@` lines, then note
+    lines of five fields only: beats that `_beat_ticks` reads, with
+    non-negative onsets and positive durations, and a pitch, velocity
+    and voice spelled as in `_SEVEN_BIT`, with a velocity over 0.
+
+    Each block of note lines is split once, with a `;` token between
+    lines, so that each field is a slice of the tokens. When the count
+    of tokens is right but a line has more or fewer than five fields,
+    some `;` falls in a field's place, and it fails to convert like any
+    other bad field."""
+    key = title = None
+    start = len(lines)
+    for lineno, raw in enumerate(lines, start=1):
+        head = raw.lstrip()[:1]
+        if head == "@":
+            key, title = _read_tag(raw, lineno, key, title)
+        elif head and head != "#":
+            start = lineno - 1
+            break
+    if start == len(lines):
+        return Piece(key=key, title=title or "")
+    # the beat tokens, then their ticks
+    onsets: list = []
+    durations: list = []
+    pitches: list[int] = []
+    velocities: list[int] = []
+    voices: list[int] = []
+    try:
+        for i in range(start, len(lines), _BLOCK_LINES):
+            block = lines[i:i + _BLOCK_LINES]
+            tokens = " ; ".join(block).split()
+            if len(tokens) != 6 * len(block) - 1:
+                return None
+            onsets += tokens[0::6]
+            durations += tokens[1::6]
+            pitches += map(_SEVEN_BIT.__getitem__, tokens[2::6])
+            velocities += map(_SEVEN_BIT.__getitem__, tokens[3::6])
+            voices += map(_SEVEN_BIT.__getitem__, tokens[4::6])
+    except KeyError:
+        return None
+    beats = _beat_ticks({*onsets, *durations})
+    if beats is None or 0 in velocities:
+        return None
+    scale, ticks = beats
+    onsets[:] = map(ticks.__getitem__, onsets)
+    durations[:] = map(ticks.__getitem__, durations)
+    if min(onsets) < 0 or min(durations) <= 0:
+        return None
+    if voices.count(voices[0]) != len(voices):
+        # one stable sort groups the voices and keeps each one's order
+        order = sorted(range(len(voices)), key=voices.__getitem__)
+        onsets, durations, pitches, velocities = map(
+            itemgetter(*order), (onsets, durations, pitches, velocities))
+        voices.sort()
+    parts = []
+    lo = 0
+    while lo < len(voices):
+        v = voices[lo]
+        hi = bisect_right(voices, v, lo)
+        parts.append(Part._from_columns(v, scale, [
+            onsets[lo:hi], durations[lo:hi], pitches[lo:hi],
+            velocities[lo:hi], [v] * (hi - lo)]))
+        lo = hi
+    return Piece(parts=tuple(parts), key=key, title=title or "")
+
+
+def _beat_ticks(beats: set[str]) -> tuple[int, dict[str, int]] | None:
+    """The lcm of the beats' reduced denominators, and each beat in ticks
+    of 1/lcm; or None if a beat is not an integer or n/d with d > 0, or
+    the lcm needs over MAX_SCALE_BITS. Onset beats are nearly all
+    distinct, so the numbers are converted in bulk, not one by one."""
+    fractions = [token for token in beats if "/" in token]
+    integers = [token for token in beats if "/" not in token]
+    try:
+        terms = (list(map(int, "/".join(fractions).split("/")))
+                 if fractions else [])
+        ints = list(map(int, integers))
+    except ValueError:
+        return None
+    # a token of two slashes or more adds terms
+    if len(terms) != 2 * len(fractions):
+        return None
+    nums, dens = terms[0::2], terms[1::2]
+    if min(dens, default=1) <= 0:
+        return None
+    scale = 1
+    for den in set(map(floordiv, dens, map(gcd, nums, dens))):
+        scale = lcm(scale, den)
+        if scale.bit_length() > MAX_SCALE_BITS:
+            return None
+    ticks = dict(zip(fractions, map(floordiv, map(scale.__mul__, nums),
+                                    dens)))
+    ticks.update(zip(integers, map(scale.__mul__, ints)))
+    return scale, ticks
+
+
+def _parse_lines(lines: list[str]) -> Piece:
+    """Read the .notes lines one at a time; the reader of every file
+    that `_parse_columns` refuses, and so of every fault."""
     key: tuple[int, str] | None = None
     title: str | None = None
     # per voice, its notes' onset token, duration token, pitch and
@@ -266,30 +412,12 @@ def parse_text(source: str) -> Piece:
         value = beats[token] = (num, den)
         return value
 
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         fields = raw.split()
         if not fields or fields[0][0] == "#":
             continue
         if fields[0][0] == "@":
-            fields = raw.strip().split(None, 1)
-            tag = fields[0]
-            rest = fields[1].strip() if len(fields) > 1 else ""
-            if tag == "@key":
-                if key is not None:
-                    raise NotesParseError("duplicate @key", lineno)
-                parts = rest.split()
-                if len(parts) != 2:
-                    raise NotesParseError("@key needs tonic and mode", lineno)
-                try:
-                    key = parse_key_name(parts[0], parts[1])
-                except ValueError as exc:
-                    raise NotesParseError(str(exc), lineno) from exc
-            elif tag == "@title":
-                if title is not None:
-                    raise NotesParseError("duplicate @title", lineno)
-                title = rest
-            else:
-                raise NotesParseError(f"unknown metadata tag {tag}", lineno)
+            key, title = _read_tag(raw, lineno, key, title)
             continue
         if len(fields) != 5:
             if not 3 <= len(fields) <= 4:

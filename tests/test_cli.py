@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from arcform.cli import main
-from arcform.config import AnalysisConfig
+from arcform.config import AnalysisConfig, read_settings
 from oracles import midi_file
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -275,6 +275,38 @@ def test_non_utf8_input_exit_2(fixtures_dir, tmp_path, name):
     assert res.returncode == 2
     assert "not UTF-8 text" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def test_byte_order_mark_at_the_start_is_dropped(fixtures_dir, tmp_path,
+                                                 monkeypatch):
+    plain = fixtures_dir / "fixture_fig1.notes"
+    (tmp_path / plain.name).write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    out = tmp_path / "out.json"
+    reports = []
+    for folder in (fixtures_dir, tmp_path):
+        monkeypatch.chdir(folder)
+        assert main(["analyze", plain.name, "--out", str(out)]) == 0
+        reports.append(out.read_text(encoding="utf-8"))
+    assert reports[0] == reports[1]
+    cfg = tmp_path / "a.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfthreshold=0.9\n")
+    assert read_settings(str(cfg)) == {"threshold": 0.9}
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("two.notes", "\ufeff\ufeff0 1 60\n", "non-numeric field, line 1"),
+    ("later.notes", "0 1 60\n\ufeff1 1 62\n", "non-numeric field, line 2"),
+    ("two.cfg", "\ufeff\ufeffthreshold=0.9\n", "unknown"),
+])
+def test_byte_order_mark_anywhere_else_is_an_error(fixtures_dir, tmp_path,
+                                                   name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    args = (["analyze", path] if name.endswith(".notes") else
+            ["analyze", fixtures_dir / "fixture_fig1.notes", "--config", path])
+    res = run_cli(*args)
+    assert res.returncode == 2
+    assert message in res.stderr and "Traceback" not in res.stderr
 
 
 def test_config_file_flags_win(fixtures_dir, tmp_path):

@@ -76,6 +76,22 @@ def test_render_json_is_the_standard_encoding(value):
     assert render_json(value) == oracle_render_json(value)
 
 
+# the last value is past the range, where '%.6f' would give ...405399
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, 1.0, 5e-05, 0.0001, 0.30000000000000004, 999999999.9999996,
+    1e9, NAN, INF, -INF, -1.0, -5e-05, -0.0001, 0.0078125, 0.00009999995,
+    10472411465.4054])
+def test_float_text_at_the_edges_of_the_fixed_point_range(value):
+    assert render_json(value) == oracle_render_json(value)
+    assert render_json(((F(1), value),)) == oracle_render_json(((F(1), value),))
+
+
+@given(st.floats(1e-4, 1e9, exclude_max=True), st.booleans())
+def test_float_text_inside_the_fixed_point_range(value, negative):
+    value = -value if negative else value
+    assert render_json(value) == oracle_render_json(value)
+
+
 @given(TREES)
 @settings(max_examples=200, deadline=None)
 def test_render_json_matches_the_standard_encoder(value):

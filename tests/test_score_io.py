@@ -1,5 +1,7 @@
+import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from arcform import (AnalysisError, MidiError, NoteEvent, NotesParseError,
                      Part, Piece, import_midi, parse_text, serialize_text,
                      skyline)
+from arcform import score
 from arcform.score import MAX_SCALE_BITS
 
 from oracles import midi_file, oracle_import_midi, oracle_parse_text
@@ -48,6 +51,9 @@ def test_parse_zero_duration_rejected():
     ("-1 1 200 0", "negative onset"),
     ("0 1 200 0", "pitch out of range"),
     ("@key C major\n@key D minor", "duplicate @key"),
+    # the token count of two five-field lines, not their field counts
+    ("0 1 60 64 0 7\n1 1 62 64", "field count, line 1"),
+    ("0 1 60 64\n1 1 62 64 0 7", "field count, line 2"),
     ("@key H major", "unknown tonic"),
 ])
 def test_parse_errors(source, fragment):
@@ -67,6 +73,13 @@ def test_tick_scale_bound_edge():
     with pytest.raises(NotesParseError,
                        match="1025-bit tick scale, over 1024, line 3$"):
         parse_text(f"1/{2 ** 1023} 1 60 64 0\n1 1/{2 ** 1023} 60\n"
+                   f"0 1/3 62 64 1\n")
+    # the same in five-field lines, which the columnar reader takes first
+    piece = parse_text(f"1/{2 ** 1023} 1 60 64 0\n0 1/{2 ** 1023} 62 64 0\n")
+    assert piece.parts[0].scale == 2 ** 1023
+    with pytest.raises(NotesParseError,
+                       match="1025-bit tick scale, over 1024, line 3$"):
+        parse_text(f"1/{2 ** 1023} 1 60 64 0\n1 1/{2 ** 1023} 60 64 0\n"
                    f"0 1/3 62 64 1\n")
 
 
@@ -165,6 +178,81 @@ def pieces(draw, max_voices=3, max_events=12):
 @given(pieces())
 def test_text_round_trip(piece):
     assert parse_text(serialize_text(piece)) == piece
+
+
+# One token of a written piece changed, and the note fields it may go in:
+# each change sends the file from the columnar reader to the line loop,
+# which then accepts it ("+3", "٣") or names the fault.
+CHANGED_TOKENS = {"128": [2], "0": [1, 3], "1/0": [0, 1], "1/-2": [0, 1],
+                  "-1/2": [0, 1], "1/2/3": [0, 1], "+3": [0, 1, 2, 3, 4],
+                  "٣": [0, 1, 2, 3, 4], "300": [4]}
+
+
+@st.composite
+def regular_sources(draw):
+    """`serialize_text` of a piece of up to four voices, sometimes with
+    one token changed, one field dropped or a trailing comment."""
+    lines = serialize_text(draw(pieces(max_voices=4))).splitlines()
+    change = draw(st.sampled_from(
+        [None, None, None, "drop", "comment", *CHANGED_TOKENS]))
+    notes = [i for i, line in enumerate(lines) if line[0] != "@"]
+    if change is not None:
+        i = draw(st.sampled_from(notes))
+        fields = lines[i].split()
+        if change == "drop":
+            fields.pop()
+        elif change == "comment":
+            fields.append("# comment")
+        else:
+            fields[draw(st.sampled_from(CHANGED_TOKENS[change]))] = change
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_sources())
+def test_parse_text_matches_its_oracle_on_regular_files(source):
+    assert _parse_outcome(parse_text, source) == \
+        _parse_outcome(oracle_parse_text, source)
+
+
+def _no_line_loop(lines):
+    raise AssertionError("the line loop read a regular file")
+
+
+def bench_shaped_text(seed, notes=600, voices=4):
+    """A file as the benchmark writes one: a title, then notes sorted by
+    onset across the voices, onsets in eighths and durations of 1/8 to 2
+    beats."""
+    rng = random.Random(seed)
+    rows = sorted((Fraction(rng.randrange(8 * notes), 8),
+                   Fraction(rng.choice([1, 2, 3, 4, 6, 8, 16]), 8),
+                   rng.randrange(36, 90), rng.randrange(30, 120),
+                   rng.randrange(voices)) for _ in range(notes))
+    return "".join([f"@title bench {seed}\n",
+                    *(f"{on} {dur} {p} {vel} {v}\n"
+                      for on, dur, p, vel, v in rows)])
+
+
+@given(pieces(max_voices=4))
+def test_written_pieces_take_the_columnar_path(piece):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(score, "_parse_lines", _no_line_loop)
+        assert parse_text(serialize_text(piece)) == piece
+
+
+def test_fixtures_and_bench_files_take_the_columnar_path(monkeypatch):
+    fixtures = Path(__file__).parent / "fixtures"
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(fixtures.rglob("*.notes"))]
+    sources = [text for text in sources
+               if not isinstance(_parse_outcome(oracle_parse_text, text),
+                                 tuple)]
+    assert len(sources) == 11
+    sources += [bench_shaped_text(seed) for seed in range(3)]
+    expected = [oracle_parse_text(text) for text in sources]
+    monkeypatch.setattr(score, "_parse_lines", _no_line_loop)
+    assert [parse_text(text) for text in sources] == expected
 
 
 @st.composite
