@@ -248,8 +248,9 @@ def parse_text(source: str) -> Piece:
     """Parse the canonical .notes text format into a Piece.
 
     A regular file is read a column at a time (`_parse_columns`); any
-    other file, and any file with a fault, is read by the line loop
-    (`_parse_lines`), which names the first fault and its line."""
+    other file, and any file with a fault in a note line, is read by the
+    line loop (`_parse_lines`), which names the first fault and its
+    line. Both read `@` lines through `_read_tag`."""
     lines = source.splitlines()
     piece = _parse_columns(lines)
     return _parse_lines(lines) if piece is None else piece
@@ -281,7 +282,8 @@ def _read_tag(raw: str, lineno: int, key: tuple[int, str] | None,
 
 
 def _parse_columns(lines: list[str]) -> Piece | None:
-    """The piece of a regular file, or None for any other.
+    """The piece of a regular file, or None for any other. A fault in
+    a leading `@` line raises from `_read_tag`, as in the line loop.
 
     A regular file is leading blank, comment and `@` lines, then note
     lines of five fields only: beats that `_beat_ticks` reads, with
@@ -381,7 +383,7 @@ def _beat_ticks(beats: set[str]) -> tuple[int, dict[str, int]] | None:
 
 def _parse_lines(lines: list[str]) -> Piece:
     """Read the .notes lines one at a time; the reader of every file
-    that `_parse_columns` refuses, and so of every fault."""
+    that `_parse_columns` refuses, and so of every note-line fault."""
     key: tuple[int, str] | None = None
     title: str | None = None
     # per voice, its notes' onset token, duration token, pitch and
