@@ -7,8 +7,9 @@ of the curve, so any measured delay is conservative.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .config import DEFAULTS, check_weights, check_window
@@ -18,6 +19,7 @@ from .value import Value
 
 __all__ = [
     "ClimaxProfile",
+    "Curve",
     "MAX_GRID_POINTS",
     "salience_curve",
     "locate_climax",
@@ -27,7 +29,70 @@ __all__ = [
 # a curve of more points is refused before any is computed
 MAX_GRID_POINTS = 100_000
 
-Curve = tuple[tuple[Fraction, float], ...]
+
+class Curve:
+    """A salience curve as `salience_curve` gives it: a read-only
+    sequence of `(time, salience)` rows, equal to the tuple of them, and
+    with that tuple's hash, length, items, slices and repr.
+
+    It holds each time as whole `ticks` of 1/`unit` beat beside the
+    `saliences`, and builds the rows, one `Fraction` each, on first read,
+    so a caller that reads only the peak statistics never builds them.
+    """
+
+    __slots__ = ("ticks", "unit", "saliences", "_rows")
+
+    def __init__(self, ticks: Sequence[int], unit: int,
+                 saliences: Sequence[float]) -> None:
+        init = object.__setattr__
+        init(self, "ticks", ticks)
+        init(self, "unit", unit)
+        init(self, "saliences", saliences)
+        init(self, "_rows", None)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, float], ...]:
+        rows = self._rows
+        if rows is None:
+            unit = self.unit
+            # a list first: `tuple()` of a generator resizes its result,
+            # which shifts short curves between CPython's per-size tuple
+            # free lists
+            rows = tuple([(Fraction(t, unit), s)
+                          for t, s in zip(self.ticks, self.saliences)])
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    def __len__(self) -> int:
+        return len(self.saliences)
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Curve):
+            other = other.rows
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self.rows == other
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return repr(self.rows)
+
+    def __reduce__(self):
+        return Curve, (self.ticks, self.unit, self.saliences)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to curve attribute {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete curve attribute {name!r}")
 
 
 class ClimaxProfile(Value):
@@ -45,7 +110,7 @@ class ClimaxProfile(Value):
 
 def _edge_integrals(pitches: Sequence[int], velocities: Sequence[int],
                     onsets: Sequence[int], ends: Sequence[int],
-                    windows: Sequence[tuple[int, int]]
+                    edges: Iterable[int]
                     ) -> dict[int, tuple[int, int, int, int]]:
     """Exact running integrals at every window edge, in one sweep.
 
@@ -73,9 +138,8 @@ def _edge_integrals(pitches: Sequence[int], velocities: Sequence[int],
             off[0] -= pitch
             off[1] -= vel
             off[2] -= 1
-    for lo, hi in windows:  # an edge changes nothing
-        deltas.setdefault(lo, (0, 0, 0, 0))
-        deltas.setdefault(hi, (0, 0, 0, 0))
+    for edge in edges:  # an edge changes nothing
+        deltas.setdefault(edge, (0, 0, 0, 0))
     at = {}
     pitch = vel = sounding = started = 0
     pitch_int = vel_int = sounding_int = prev = 0
@@ -112,49 +176,60 @@ def salience_curve(piece: Piece,
     scale, onsets, ends = piece.timeline
     if not onsets:
         raise AnalysisError("empty piece")
-    total = piece.beats_total
-    if total <= 0:
-        raise AnalysisError("zero-duration piece")
 
     # evenly spaced grid including both endpoints, spacing <= window/2;
-    # mirror-symmetric so time reversal maps grid points to grid points
-    half = window / 2
-    n_steps = max(1, -(-total // half))  # ceil
+    # mirror-symmetric so time reversal maps grid points to grid points.
+    # The half window is half_num/half_den beats in lowest terms; every
+    # end is positive, so the ceiling is at least one step.
+    num, den = window.numerator, window.denominator
+    half_num, half_den = (num // 2, den) if num % 2 == 0 else (num, 2 * den)
+    last = max(ends)
+    n_steps = -(-last * half_den // (scale * half_num))  # ceil
     if n_steps + 1 > MAX_GRID_POINTS:
         raise AnalysisError(
             f"window {window} gives {n_steps + 1} grid points over "
-            f"{total} beats, more than {MAX_GRID_POINTS}; use a wider "
-            f"--window")
+            f"{piece.beats_total} beats, more than {MAX_GRID_POINTS}; use "
+            f"a wider --window")
 
     # The piece's ticks times `up` make every window edge and grid point
     # a whole tick too, so all integrals are exact integers. Masses in
     # ticks are the masses in beats times the scale; their ratios are
     # equal, and an int / int ratio is the correctly rounded float of
     # the same rational that the Fraction would give.
-    up = lcm(half.denominator, n_steps)
-    half_ticks = half.numerator * (scale * up // half.denominator)
-    total_ticks = max(ends) * up
-    mids = [total_ticks * k // n_steps for k in range(n_steps + 1)]
-    windows = [(max(0, mid - half_ticks), min(total_ticks, mid + half_ticks))
-               for mid in mids]
+    up = lcm(half_den, n_steps)
+    half_ticks = half_num * (scale * up // half_den)
+    total_ticks = last * up
+    step = total_ticks // n_steps
+    ticks = range(0, total_ticks + 1, step)
+    # Window edges clipped to the piece, as ranges: the first m grid
+    # points lie less than half a window after 0, so their windows start
+    # at 0, and by the grid's symmetry the last m windows end at
+    # total_ticks.
+    m = min(-(-half_ticks // step), n_steps + 1)
+    los = [0] * m + list(range(m * step - half_ticks,
+                               total_ticks - half_ticks + 1, step))
+    his = list(range(half_ticks, total_ticks + half_ticks + 1 - m * step,
+                     step)) + [total_ticks] * m
     pitches = piece.column("pitches")
     at = _edge_integrals(pitches, piece.column("velocities"),
                          [t * up for t in onsets], [t * up for t in ends],
-                         windows)
+                         chain(los, his))
 
+    # Grid spacing is at most half a window, so every onset lies in some
+    # window and the largest onset count is at least one.
     pmin = min(pitches)
-    pmax = max(pitches)
+    spread = max(pitches) - pmin
     pitch_comp: list[float] = []
     vel_comp: list[float] = []
     counts: list[int] = []
-    for lo, hi in windows:
+    for lo, hi in zip(los, his):
         p_lo, v_lo, n_lo, c_lo = at[lo]
         p_hi, v_hi, n_hi, c_hi = at[hi]
         overlap_total = n_hi - n_lo
         if overlap_total > 0:
-            if pmax > pmin:
+            if spread:
                 pitch_comp.append((p_hi - p_lo - pmin * overlap_total)
-                                  / (overlap_total * (pmax - pmin)))
+                                  / (overlap_total * spread))
             else:
                 pitch_comp.append(0.5)
             vel_comp.append((v_hi - v_lo) / overlap_total / 127.0)
@@ -162,32 +237,37 @@ def salience_curve(piece: Piece,
             pitch_comp.append(0.0)
             vel_comp.append(0.0)
         counts.append(c_hi - c_lo)
-
-    max_count = max(counts) if max(counts) > 0 else 1
+    max_count = max(counts)
     w_pitch, w_density, w_velocity = weights
-    # a list first: `tuple()` of a generator resizes its result, which
-    # shifts short curves between CPython's per-size tuple free lists
-    return tuple([
-        (Fraction(mid, scale * up),
-         w_pitch * pc + w_density * (c / max_count) + w_velocity * vc)
-        for mid, pc, vc, c in zip(mids, pitch_comp, vel_comp, counts)])
+    return Curve(ticks, scale * up, tuple([
+        w_pitch * pc + w_density * (c / max_count) + w_velocity * vc
+        for pc, vc, c in zip(pitch_comp, vel_comp, counts)]))
 
 
-def locate_climax(curve: Curve) -> ClimaxProfile:
+def locate_climax(curve: Curve | Sequence[tuple[Fraction, float]]
+                  ) -> ClimaxProfile:
     """Earliest-maximum peak plus derived asymmetry statistics. The
-    curve's times increase, as `salience_curve` gives them."""
+    curve's times increase, as `salience_curve` gives them; a `Curve` is
+    read through its ticks and saliences, with no row built."""
     if not curve:
         raise AnalysisError("empty curve")
-    saliences = [s for _, s in curve]
+    lazy = isinstance(curve, Curve)
+    saliences = curve.saliences if lazy else [s for _, s in curve]
     total_mass = sum(saliences)
     if total_mass <= 0:
         raise AnalysisError("no salience content")
     peak = saliences.index(max(saliences))
-    peak_time = curve[peak][0]
-    span = curve[-1][0]
+    if lazy:
+        # one Fraction; the int / int ratio below is the correctly
+        # rounded float of the same rational as the times' ratio
+        peak_at, span = curve.ticks[peak], curve.ticks[-1]
+        peak_time = Fraction(peak_at, curve.unit)
+    else:
+        peak_time, span = curve[peak][0], curve[-1][0]
+        peak_at = Fraction(peak_time)
     if span <= 0:
         raise AnalysisError("curve spans zero time")
-    normalized = float(Fraction(peak_time) / span)
+    normalized = float(peak_at / span)
     pre_mass = sum(saliences[:peak])
     return ClimaxProfile(
         curve=curve,

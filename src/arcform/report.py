@@ -10,37 +10,17 @@ from __future__ import annotations
 from fractions import Fraction
 from json.encoder import encode_basestring
 
-from .climax import ClimaxProfile
+from .climax import ClimaxProfile, Curve
 from .config import AnalysisConfig
 from .recurrence import RecurrenceSeries
 from .score import Piece, key_name
 from .value import Value
 
-__all__ = ["build_report", "render_json", "curve_csv", "jsonable"]
+__all__ = ["build_report", "render_json", "curve_csv"]
 
 PRECISION = 6
 # float.__repr__ of the values JSON has no literal for, as `json` writes them
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def jsonable(value: object) -> object:
-    """Recursively convert analysis values to JSON-safe primitives.
-
-    Rationals become "p/q" strings (exact); floats are rounded to the
-    declared output precision.
-    """
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return round(value, PRECISION)
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, Value):
-        return {name: jsonable(getattr(value, name))
-                for name in value._fields}
-    return value
 
 
 def _recurrence_dict(series: RecurrenceSeries) -> dict[str, object]:
@@ -87,9 +67,12 @@ def build_report(piece: Piece, source: str, config: AnalysisConfig,
 
 
 def render_json(obj: object) -> str:
-    """The report text: byte for byte `json.dumps(jsonable(obj),
-    sort_keys=True, ensure_ascii=False, indent=2)` and a newline, written
-    in one pass over `obj`."""
+    """The report text, written in one pass over `obj`: byte for byte
+    `json.dumps(value, sort_keys=True, ensure_ascii=False, indent=2)` and
+    a newline, where `value` is `obj` with each `Fraction` as a "p/q"
+    string, each float rounded to PRECISION digits, each value class as
+    an object of its `_fields` and each `Curve` as the list of its rows
+    (`jsonable` in `tests/oracles.py` builds that value)."""
     out: list[str] = []
     _write(obj, "\n", out)
     out.append("\n")
@@ -112,9 +95,9 @@ def _float_text(value: float) -> str:
 
 
 def _write(value: object, nl: str, out: list[str]) -> None:
-    """Append the JSON text of `jsonable(value)` to `out`; `nl` is the
-    newline and indent of the line `value` starts on. Tests in
-    `jsonable`'s order, then in `json`'s."""
+    """Append the JSON text of `value` to `out`; `nl` is the newline and
+    indent of the line `value` starts on. Tests in the order of the
+    conversion `render_json` names, then in `json`'s."""
     if value is None:
         out.append("null")
     elif value is True:
@@ -127,7 +110,7 @@ def _write(value: object, nl: str, out: list[str]) -> None:
         out.append(_float_text(value))
     elif isinstance(value, dict):
         _write_object({str(k): v for k, v in value.items()}, nl, out)
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, Curve)):  # a curve by its rows
         _write_array(value, nl, out)
     elif isinstance(value, Value):
         _write_object({name: getattr(value, name) for name in value._fields},
@@ -141,7 +124,8 @@ def _write(value: object, nl: str, out: list[str]) -> None:
                         f"is not JSON serializable")
 
 
-def _write_array(items: list | tuple, nl: str, out: list[str]) -> None:
+def _write_array(items: list | tuple | Curve, nl: str,
+                 out: list[str]) -> None:
     if not items:
         out.append("[]")
         return

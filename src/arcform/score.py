@@ -286,7 +286,8 @@ def _parse_columns(lines: list[str]) -> Piece | None:
     a leading `@` line raises from `_read_tag`, as in the line loop.
 
     A regular file is leading blank, comment and `@` lines, then note
-    lines of five fields only: beats that `_beat_ticks` reads, with
+    lines of five fields only, then trailing blank and comment lines.
+    Its note lines hold beats that `_beat_ticks` reads, with
     non-negative onsets and positive durations, and a pitch, velocity
     and voice spelled as in `_SEVEN_BIT`, with a velocity over 0.
 
@@ -306,6 +307,11 @@ def _parse_columns(lines: list[str]) -> Piece | None:
             break
     if start == len(lines):
         return Piece(key=key, title=title or "")
+    # the note lines stop before a trailing run of blank and comment
+    # lines; a file with none pays one test, of its last line
+    stop = len(lines)
+    while lines[stop - 1].lstrip()[:1] in ("", "#"):
+        stop -= 1
     # the beat tokens, then their ticks
     onsets: list = []
     durations: list = []
@@ -313,8 +319,8 @@ def _parse_columns(lines: list[str]) -> Piece | None:
     velocities: list[int] = []
     voices: list[int] = []
     try:
-        for i in range(start, len(lines), _BLOCK_LINES):
-            block = lines[i:i + _BLOCK_LINES]
+        for i in range(start, stop, _BLOCK_LINES):
+            block = lines[i:min(i + _BLOCK_LINES, stop)]
             tokens = " ; ".join(block).split()
             if len(tokens) != 6 * len(block) - 1:
                 return None

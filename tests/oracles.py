@@ -27,13 +27,15 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence, Set, Tuple
 
+from arcform.climax import Curve
 from arcform.errors import AnalysisError, GrammarError, NotesParseError
 from arcform.grammar import FormTree, Leaf, Node
 from arcform.recurrence import (IntervalProfile, RecurrenceMatch,
                                 RecurrenceSeries, diatonic_set)
-from arcform.report import jsonable
+from arcform.report import PRECISION
 from arcform.score import (MAX_SCALE_BITS, NoteEvent, Part, Piece,
                            _check_note, parse_key_name)
+from arcform.value import Value
 
 
 def recursive_edit_distance(a: Sequence, b: Sequence) -> int:
@@ -465,6 +467,27 @@ def oracle_import_midi(data: bytes) -> Piece:
                                        division, len(parts)))
         pos += 8 + length
     return Piece(parts=tuple(parts))
+
+
+def jsonable(value: object) -> object:
+    """Recursively convert analysis values to JSON-safe primitives.
+
+    Rationals become "p/q" strings (exact); floats are rounded to the
+    declared output precision; a salience `Curve` is the list of its
+    rows.
+    """
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float):
+        return round(value, PRECISION)
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, Curve)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, Value):
+        return {name: jsonable(getattr(value, name))
+                for name in value._fields}
+    return value
 
 
 def oracle_render_json(obj: object) -> str:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,8 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from arcform import AnalysisError, NoteEvent, Part, Piece, parse_text
 from arcform import climax
-from arcform.climax import climax_profile, locate_climax, salience_curve
-from oracles import oracle_locate_climax, oracle_salience_curve
+from arcform.climax import Curve, climax_profile, locate_climax, salience_curve
+from arcform.report import curve_csv, render_json
+from oracles import (oracle_locate_climax, oracle_render_json,
+                     oracle_salience_curve)
 
 
 def mono_piece(pitches, dur=1, velocity=64):
@@ -79,6 +83,12 @@ def test_grid_over_the_bound_is_refused(monkeypatch):
         salience_curve(piece, window=Fraction(2, 11))
 
 
+def test_grid_bound_is_one_hundred_thousand_points():
+    piece = mono_piece([60])  # one beat, so 100 000 steps of 1/100 000
+    with pytest.raises(AnalysisError, match="100001 grid points"):
+        salience_curve(piece, window=Fraction(2, 100_000))
+
+
 def test_bad_weights_rejected():
     with pytest.raises(AnalysisError, match="weights"):
         salience_curve(mono_piece([60, 62]), weights=(0.5, 0.5, 0.5))
@@ -138,6 +148,98 @@ windows = st.one_of(st.builds(Fraction, st.integers(1, 40), denominators),
 def test_salience_curve_matches_direct_definition(piece, weights, window):
     assert salience_curve(piece, weights, window) == \
         oracle_salience_curve(piece, weights, window)
+
+
+# --- the Curve -----------------------------------------------------------------
+
+FIG_LIKE = mono_piece([60, 64, 67, 72, 71, 67, 64, 60], velocity=90)
+
+
+def test_curve_equals_the_tuple_of_its_rows():
+    curve = salience_curve(FIG_LIKE, (0.4, 0.3, 0.3), Fraction(3, 2))
+    expected = oracle_salience_curve(FIG_LIKE, (0.4, 0.3, 0.3),
+                                     Fraction(3, 2))
+    assert type(curve) is Curve and type(expected) is tuple
+    assert curve == expected and expected == curve
+    assert not curve != expected and not expected != curve
+    assert curve == salience_curve(FIG_LIKE, (0.4, 0.3, 0.3), Fraction(3, 2))
+    assert curve != expected[:-1] and expected[:-1] != curve
+    assert curve != list(expected) and list(expected) != curve
+
+
+def test_curve_reads_like_its_tuple():
+    curve = salience_curve(FIG_LIKE)
+    rows = oracle_salience_curve(FIG_LIKE, (0.4, 0.3, 0.3), Fraction(4))
+    assert hash(curve) == hash(rows)
+    assert len(curve) == len(rows) == 5
+    assert curve[0] == rows[0] and curve[-1] == rows[-1]
+    assert curve[1:3] == rows[1:3] and type(curve[1:3]) is tuple
+    assert curve[::-1] == rows[::-1]
+    with pytest.raises(IndexError):
+        curve[len(rows)]
+    assert list(curve) == list(rows)
+    assert repr(curve) == repr(rows)
+    for copied in (pickle.loads(pickle.dumps(curve)), copy.copy(curve),
+                   copy.deepcopy(curve)):
+        assert type(copied) is Curve
+        assert copied == curve == pickle.loads(pickle.dumps(rows))
+        assert hash(copied) == hash(rows)
+
+
+def test_curve_cannot_be_mutated():
+    curve = salience_curve(FIG_LIKE)
+    before = tuple(curve)
+    with pytest.raises(TypeError):
+        curve[0] = (Fraction(0), 1.0)
+    with pytest.raises(TypeError):
+        del curve[0]
+    for name in ("ticks", "unit", "saliences", "_rows", "other"):
+        with pytest.raises(AttributeError):
+            setattr(curve, name, None)
+    with pytest.raises(AttributeError):
+        del curve.saliences
+    with pytest.raises(AttributeError):
+        curve.saliences.append(1.0)
+    assert curve == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(multi_voice_pieces(), weights_choices, windows)
+def test_profile_of_a_curve_equals_the_profile_of_its_tuple(piece, weights,
+                                                            window):
+    profile = climax_profile(piece, weights, window)
+    rows = tuple(salience_curve(piece, weights, window))
+    expected = locate_climax(rows)
+    assert profile == expected and hash(profile) == hash(expected)
+    # field for field, each float bit for bit
+    assert repr(profile) == repr(expected)
+    assert type(profile.peak_time) is Fraction
+    assert render_json(profile) == render_json(expected) == \
+        oracle_render_json(profile)
+    assert curve_csv(profile) == curve_csv(expected)
+
+
+def test_climax_profile_records_both_spans(monkeypatch):
+    # a benchmark traces climax_profile through these two names
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.append((name, result))
+            return result
+        return wrapper
+
+    for name in ("salience_curve", "locate_climax"):
+        monkeypatch.setattr(climax, name,
+                            counting(name, getattr(climax, name)))
+    piece = mono_piece(range(60, 70))  # ten beats, a grid step of two
+    profile = climax_profile(piece)
+    assert [name for name, _ in calls] == ["salience_curve", "locate_climax"]
+    curve = calls[0][1]
+    assert calls[1][1] is profile and profile.curve is curve
+    assert len(curve) == 6
+    assert [t for t, _ in curve] == [0, 2, 4, 6, 8, 10]
 
 
 # --- locate_climax ------------------------------------------------------------

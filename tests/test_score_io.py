@@ -255,6 +255,17 @@ def test_fixtures_and_bench_files_take_the_columnar_path(monkeypatch):
     assert [parse_text(text) for text in sources] == expected
 
 
+def test_trailing_comment_and_blank_lines_take_the_columnar_path(
+        monkeypatch):
+    # 256 note lines fill two blocks, so the trailing lines would
+    # have made a third block of their own
+    text = bench_shaped_text(0, notes=256) + "# end\n\n \t \n"
+    expected = oracle_parse_text(text)
+    assert len(expected.all_events()) == 256
+    monkeypatch.setattr(score, "_parse_lines", _no_line_loop)
+    assert parse_text(text) == expected
+
+
 @st.composite
 def tied_pieces(draw):
     """Notes that share onsets (any denominator) and pitches, so equal

@@ -14,7 +14,8 @@ from arcform import (AnalysisConfig, AnalysisError, ClimaxProfile,
                      Derivation, GrammarError, IntervalProfile, Leaf, Node,
                      NoteEvent, Part, Piece, RecurrenceMatch, RecurrenceSeries,
                      SonataAlignment, sonata_alignment)
-from arcform.report import build_report, jsonable, render_json
+from arcform.report import build_report, render_json
+from oracles import jsonable
 
 A, B = Leaf("A"), Leaf("B")
 AB = Node((A, B))
