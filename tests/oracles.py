@@ -13,7 +13,7 @@ writer, tonal analyses that read each note as a `NoteEvent` with
 `Fraction` times instead of the integer columns, a `.notes` reader that
 checks each note through one call and grows the tick scale at every new
 token, and the report text from the standard library's JSON encoder
-instead of the one-pass writer.
+over `jsonable`'s plain values instead of the one-pass writer.
 """
 
 from __future__ import annotations
