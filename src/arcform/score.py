@@ -10,7 +10,6 @@ from __future__ import annotations
 import heapq
 import warnings
 from bisect import bisect_right
-from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -236,110 +235,137 @@ class Piece(Value):
 
 
 # The canonical decimal spelling of each 7-bit value: the pitches,
-# velocities and voices that the columnar reader takes as they are
+# velocities and voices that the reader takes without `int()`
 _SEVEN_BIT = {str(i): i for i in range(128)}
-# note lines split at once: their tokens are the columnar reader's one
-# transient copy of the text, and at 128 lines its peak memory stays
-# under the line loop's
+# note lines split at once: their tokens are the reader's one transient
+# copy of the text, so 128 lines at a time keep its peak memory that of
+# a block, not of the file
 _BLOCK_LINES = 128
+
+
+class _Ints(dict):
+    """Int tokens, each read with `int()` on its first miss and kept."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
 
 
 def parse_text(source: str) -> Piece:
     """Parse the canonical .notes text format into a Piece.
 
-    A regular file is read a column at a time (`_parse_columns`); any
-    other file, and any file with a fault in a note line, is read by the
-    line loop (`_parse_lines`), which names the first fault and its
-    line. Both read `@` lines through `_read_tag`."""
+    `_parse_columns` reads every valid file a column at a time. It
+    raises ValueError only for a file with a fault, and
+    `_raise_first_fault` then names the first fault and its line."""
     lines = source.splitlines()
-    piece = _parse_columns(lines)
-    return _parse_lines(lines) if piece is None else piece
+    try:
+        return _parse_columns(lines)
+    except ValueError:
+        pass
+    # outside the handler, so that the walk's error does not carry the
+    # reader's as its context
+    _raise_first_fault(lines)
 
 
-def _read_tag(raw: str, lineno: int, key: tuple[int, str] | None,
+def _read_tag(raw: str, key: tuple[int, str] | None,
               title: str | None) -> tuple[tuple[int, str] | None, str | None]:
-    """The key and title after the `@` line `raw`."""
+    """The key and title after the `@` line `raw`; ValueError names a
+    fault in it."""
     fields = raw.strip().split(None, 1)
     tag = fields[0]
     rest = fields[1].strip() if len(fields) > 1 else ""
     if tag == "@key":
         if key is not None:
-            raise NotesParseError("duplicate @key", lineno)
+            raise ValueError("duplicate @key")
         parts = rest.split()
         if len(parts) != 2:
-            raise NotesParseError("@key needs tonic and mode", lineno)
-        try:
-            key = parse_key_name(parts[0], parts[1])
-        except ValueError as exc:
-            raise NotesParseError(str(exc), lineno) from exc
+            raise ValueError("@key needs tonic and mode")
+        key = parse_key_name(parts[0], parts[1])
     elif tag == "@title":
         if title is not None:
-            raise NotesParseError("duplicate @title", lineno)
+            raise ValueError("duplicate @title")
         title = rest
     else:
-        raise NotesParseError(f"unknown metadata tag {tag}", lineno)
+        raise ValueError(f"unknown metadata tag {tag}")
     return key, title
 
 
-def _parse_columns(lines: list[str]) -> Piece | None:
-    """The piece of a regular file, or None for any other. A fault in
-    a leading `@` line raises from `_read_tag`, as in the line loop.
+def _note_fields(raw: str, tags: list) -> list[str] | None:
+    """The five fields of the .notes line `raw`, a 3- or 4-field line's
+    with velocity 64 and voice 0; None for a blank or comment line, and
+    for an `@` line, whose tag `_read_tag` reads into `tags`, the key
+    and the title. ValueError names a fault in the line."""
+    fields = raw.split()
+    if not fields or fields[0][0] == "#":
+        return None
+    if fields[0][0] == "@":
+        tags[:] = _read_tag(raw, *tags)
+        return None
+    if len(fields) != 5:
+        if not 3 <= len(fields) <= 4:
+            raise ValueError("wrong field count")
+        fields += ("64", "0")[len(fields) - 3:]
+    return fields
 
-    A regular file is leading blank, comment and `@` lines, then note
-    lines of five fields only, then trailing blank and comment lines.
-    Its note lines hold beats that `_beat_ticks` reads, with
-    non-negative onsets and positive durations, and a pitch, velocity
-    and voice spelled as in `_SEVEN_BIT`, with a velocity over 0.
 
-    Each block of note lines is split once, with a `;` token between
-    lines, so that each field is a slice of the tokens. When the count
-    of tokens is right but a line has more or fewer than five fields,
-    some `;` falls in a field's place, and it fails to convert like any
-    other bad field."""
-    key = title = None
-    start = len(lines)
-    for lineno, raw in enumerate(lines, start=1):
-        head = raw.lstrip()[:1]
-        if head == "@":
-            key, title = _read_tag(raw, lineno, key, title)
-        elif head and head != "#":
-            start = lineno - 1
-            break
-    if start == len(lines):
-        return Piece(key=key, title=title or "")
+def _parse_columns(lines: list[str]) -> Piece:
+    """The piece of the .notes lines; ValueError if they hold a fault.
+
+    The leading blank, comment and `@` lines are read one at a time, and
+    the trailing blank and comment lines are skipped. The lines between
+    go in blocks of `_BLOCK_LINES`, and each block is split once, with a
+    `;` token between lines, so that each field is a slice of the
+    tokens. A block with a `#` or `@`, or with the wrong count of
+    tokens, is split line by line by `_note_fields` instead. Any other
+    block holds note lines only, and if one has more or fewer than five
+    fields, some line has more, and some `;` falls in a field's place
+    and fails to convert like any other bad field. So a ValueError
+    always means a fault, and where the blocks fall changes only the
+    speed."""
+    tags = [None, None]
+    start = 0
+    while start < len(lines) and _note_fields(lines[start], tags) is None:
+        start += 1
     # the note lines stop before a trailing run of blank and comment
     # lines; a file with none pays one test, of its last line
     stop = len(lines)
-    while lines[stop - 1].lstrip()[:1] in ("", "#"):
+    while stop > start and lines[stop - 1].lstrip()[:1] in ("", "#"):
         stop -= 1
+    bounds = [*range(start, stop, _BLOCK_LINES), stop]
     # the beat tokens, then their ticks
     onsets: list = []
     durations: list = []
     pitches: list[int] = []
     velocities: list[int] = []
     voices: list[int] = []
-    try:
-        for i in range(start, stop, _BLOCK_LINES):
-            block = lines[i:min(i + _BLOCK_LINES, stop)]
-            tokens = " ; ".join(block).split()
-            if len(tokens) != 6 * len(block) - 1:
-                return None
-            onsets += tokens[0::6]
-            durations += tokens[1::6]
-            pitches += map(_SEVEN_BIT.__getitem__, tokens[2::6])
-            velocities += map(_SEVEN_BIT.__getitem__, tokens[3::6])
-            voices += map(_SEVEN_BIT.__getitem__, tokens[4::6])
-    except KeyError:
-        return None
-    beats = _beat_ticks({*onsets, *durations})
-    if beats is None or 0 in velocities:
-        return None
-    scale, ticks = beats
+    ints = _Ints(_SEVEN_BIT)
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = lines[lo:hi]
+        text = " ; ".join(block)
+        tokens = text.split()
+        if len(tokens) != 6 * len(block) - 1 or "#" in text or "@" in text:
+            tokens = []
+            for raw in block:
+                if (fields := _note_fields(raw, tags)) is not None:
+                    tokens += fields
+                    tokens.append(";")
+        onsets += tokens[0::6]
+        durations += tokens[1::6]
+        pitches += map(ints.__getitem__, tokens[2::6])
+        velocities += map(ints.__getitem__, tokens[3::6])
+        voices += map(ints.__getitem__, tokens[4::6])
+    # a 7-bit velocity may be 0, and a token that missed `_SEVEN_BIT` may
+    # be out of its field's range
+    if 0 in velocities or len(ints) > len(_SEVEN_BIT) and (
+            min(pitches) < 0 or max(pitches) > 127
+            or min(velocities) < 1 or max(velocities) > 127):
+        raise ValueError("pitch or velocity out of range")
+    scale, ticks = _beat_ticks({*onsets, *durations})
     onsets[:] = map(ticks.__getitem__, onsets)
     durations[:] = map(ticks.__getitem__, durations)
-    if min(onsets) < 0 or min(durations) <= 0:
-        return None
-    if voices.count(voices[0]) != len(voices):
+    if min(onsets, default=0) < 0 or min(durations, default=1) <= 0:
+        raise ValueError("negative onset or non-positive duration")
+    if voices and voices.count(voices[0]) != len(voices):
         # one stable sort groups the voices and keeps each one's order
         order = sorted(range(len(voices)), key=voices.__getitem__)
         onsets, durations, pitches, velocities = map(
@@ -354,108 +380,78 @@ def _parse_columns(lines: list[str]) -> Piece | None:
             onsets[lo:hi], durations[lo:hi], pitches[lo:hi],
             velocities[lo:hi], [v] * (hi - lo)]))
         lo = hi
+    key, title = tags
     return Piece(parts=tuple(parts), key=key, title=title or "")
 
 
-def _beat_ticks(beats: set[str]) -> tuple[int, dict[str, int]] | None:
+def _beat_ticks(beats: set[str]) -> tuple[int, dict[str, int]]:
     """The lcm of the beats' reduced denominators, and each beat in ticks
-    of 1/lcm; or None if a beat is not an integer or n/d with d > 0, or
-    the lcm needs over MAX_SCALE_BITS. Onset beats are nearly all
+    of 1/lcm; ValueError if a beat is not an integer or n/d with d != 0,
+    or the lcm needs over MAX_SCALE_BITS. Onset beats are nearly all
     distinct, so the numbers are converted in bulk, not one by one."""
     fractions = [token for token in beats if "/" in token]
     integers = [token for token in beats if "/" not in token]
-    try:
-        terms = (list(map(int, "/".join(fractions).split("/")))
-                 if fractions else [])
-        ints = list(map(int, integers))
-    except ValueError:
-        return None
+    terms = (list(map(int, "/".join(fractions).split("/")))
+             if fractions else [])
+    ints = list(map(int, integers))
     # a token of two slashes or more adds terms
     if len(terms) != 2 * len(fractions):
-        return None
+        raise ValueError("a beat of two slashes or more")
     nums, dens = terms[0::2], terms[1::2]
-    if min(dens, default=1) <= 0:
-        return None
+    if 0 in dens:
+        raise ValueError("a zero denominator")
+    # a negative denominator reduces to a negative one, which `lcm`
+    # takes as positive; the ticks are exact quotients either way
     scale = 1
     for den in set(map(floordiv, dens, map(gcd, nums, dens))):
         scale = lcm(scale, den)
         if scale.bit_length() > MAX_SCALE_BITS:
-            return None
+            raise ValueError("tick scale over MAX_SCALE_BITS")
     ticks = dict(zip(fractions, map(floordiv, map(scale.__mul__, nums),
                                     dens)))
     ticks.update(zip(integers, map(scale.__mul__, ints)))
     return scale, ticks
 
 
-def _parse_lines(lines: list[str]) -> Piece:
-    """Read the .notes lines one at a time; the reader of every file
-    that `_parse_columns` refuses, and so of every note-line fault."""
-    key: tuple[int, str] | None = None
-    title: str | None = None
-    # per voice, its notes' onset token, duration token, pitch and
-    # velocity, one note after another in one flat list
-    by_voice: defaultdict[int, list] = defaultdict(list)
-    beats: dict[str, tuple[int, int]] = {}
-    scale = 1  # the lcm of the denominators in `beats`
+def _raise_first_fault(lines: list[str]) -> None:
+    """Raise the first fault of the .notes lines, with its line number.
 
-    def parse_beat(token: str) -> tuple[int, int]:
-        """A new beat token as its reduced (numerator, denominator), with
-        a positive denominator, kept in `beats` for the token's next use:
-        durations repeat heavily and onsets repeat across voices."""
-        nonlocal scale
-        if "/" in token:
-            num, den = map(int, token.split("/", 1))
-            if not den:
-                raise ZeroDivisionError(f"beat {token!r}")
-            unit = gcd(num, den) if den > 0 else -gcd(num, den)
-            num, den = num // unit, den // unit
-        else:
-            num, den = int(token), 1
-        if scale % den:
-            scale = lcm(scale, den)
-            if scale.bit_length() > MAX_SCALE_BITS:
-                raise NotesParseError(
-                    f"beats need a {scale.bit_length()}-bit tick scale, "
-                    f"over {MAX_SCALE_BITS}", lineno)
-        value = beats[token] = (num, den)
-        return value
-
+    `_parse_columns` raises ValueError only for lines that hold a fault,
+    so this walk builds nothing: it makes the oracle reader's checks in
+    their order, and keeps only the tick scale and each token's number,
+    a beat's as a numerator with the beat's sign."""
+    tags = [None, None]
+    signs: dict[str, int] = {}
+    scale = 1  # the lcm of the denominators of the beats in `signs`
+    ints = _Ints(_SEVEN_BIT)
     for lineno, raw in enumerate(lines, start=1):
-        fields = raw.split()
-        if not fields or fields[0][0] == "#":
-            continue
-        if fields[0][0] == "@":
-            key, title = _read_tag(raw, lineno, key, title)
-            continue
-        if len(fields) != 5:
-            if not 3 <= len(fields) <= 4:
-                raise NotesParseError("wrong field count", lineno)
-            fields += ("64", "0")[len(fields) - 3:]
-        on_token, dur_token, pitch, velocity, voice = fields
         try:
-            onset = beats.get(on_token) or parse_beat(on_token)
-            duration = beats.get(dur_token) or parse_beat(dur_token)
-            pitch, velocity, voice = int(pitch), int(velocity), int(voice)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise NotesParseError("non-numeric field", lineno) from exc
-        # `_check_note`'s ranges, tested inline; it is called only to
-        # name the first fault
-        if (duration[0] <= 0 or onset[0] < 0 or not 0 <= pitch <= 127
-                or not 1 <= velocity <= 127):
+            if (fields := _note_fields(raw, tags)) is None:
+                continue
+            on, dur, pitch, velocity, voice = fields
             try:
-                _check_note(onset[0], duration[0], pitch, velocity)
-            except ValueError as exc:
-                raise NotesParseError(str(exc), lineno) from exc
-        by_voice[voice].extend((on_token, dur_token, pitch, velocity))
-    # every beat in ticks of one scale; each part then reduces its own
-    ticks_of = {token: num * (scale // den)
-                for token, (num, den) in beats.items()}.__getitem__
-    parts = []
-    for v, notes in sorted(by_voice.items()):
-        parts.append(Part._from_columns(v, scale, [
-            list(map(ticks_of, notes[0::4])), list(map(ticks_of, notes[1::4])),
-            notes[2::4], notes[3::4], [v] * (len(notes) // 4)]))
-    return Piece(parts=tuple(parts), key=key, title=title or "")
+                for token in (on, dur):
+                    if token not in signs:
+                        num, den = (map(int, token.split("/")) if "/" in token
+                                    else (int(token), 1))
+                        signs[token] = num * den // abs(den)
+                        scale = lcm(scale, den // gcd(num, den))
+                        if scale.bit_length() > MAX_SCALE_BITS:
+                            raise NotesParseError(
+                                f"beats need a {scale.bit_length()}-bit "
+                                f"tick scale, over {MAX_SCALE_BITS}", lineno)
+                pitch, velocity, _ = ints[pitch], ints[velocity], ints[voice]
+            except (ValueError, ZeroDivisionError) as exc:
+                raise NotesParseError("non-numeric field", lineno) from exc
+            onset, duration = signs[on], signs[dur]
+            # `_check_note`'s ranges, tested inline; it is called only to
+            # name the fault
+            if (duration <= 0 or onset < 0 or not 0 <= pitch <= 127
+                    or not 1 <= velocity <= 127):
+                _check_note(onset, duration, pitch, velocity)
+        except ValueError as exc:  # from `_note_fields` or `_check_note`
+            raise NotesParseError(str(exc), lineno) from exc
+    raise AssertionError("the .notes lines hold no fault")
 
 
 def serialize_text(piece: Piece) -> str:

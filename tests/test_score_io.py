@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from arcform import (AnalysisError, MidiError, NoteEvent, NotesParseError,
                      Part, Piece, import_midi, parse_text, serialize_text,
                      skyline)
-from arcform import score
 from arcform.score import MAX_SCALE_BITS
 
 from oracles import midi_file, oracle_import_midi, oracle_parse_text
@@ -45,7 +44,9 @@ def test_parse_zero_duration_rejected():
     ("0 1 60 64 0 9", "field count"),
     ("x 1 60", "non-numeric"),
     ("0 1 200", "pitch out of range"),
+    ("0 1 128", "pitch out of range"),
     ("0 1 60 0", "velocity out of range"),
+    ("0 1 60 128", "velocity out of range"),
     # several bad fields: the first failing check in this order wins
     ("-1 0 200 0", "non-positive duration"),
     ("-1 1 200 0", "negative onset"),
@@ -54,7 +55,13 @@ def test_parse_zero_duration_rejected():
     # the token count of two five-field lines, not their field counts
     ("0 1 60 64 0 7\n1 1 62 64", "field count, line 1"),
     ("0 1 60 64\n1 1 62 64 0 7", "field count, line 2"),
+    # two lines of 13 tokens, not the 11 of two five-field lines
+    ("0 1 60 64 0\n1 1 62 64 0 9 9", "field count, line 2"),
     ("@key H major", "unknown tonic"),
+    # the first fault by line wins, wherever the `@` lines fall
+    ("0 1 200\n@key C major\n@key D minor", "pitch out of range, line 1"),
+    ("0 1 60\n@key C major\n@key D minor\n0 1 60 0",
+     "duplicate @key, line 3"),
 ])
 def test_parse_errors(source, fragment):
     with pytest.raises(NotesParseError, match=fragment):
@@ -81,6 +88,18 @@ def test_tick_scale_bound_edge():
                        match="1025-bit tick scale, over 1024, line 3$"):
         parse_text(f"1/{2 ** 1023} 1 60 64 0\n1 1/{2 ** 1023} 60 64 0\n"
                    f"0 1/3 62 64 1\n")
+
+
+def test_tick_scale_bound_on_an_odd_denominator():
+    # 3**646 takes 1024 bits, the most allowed, so the bound leaves no
+    # room for a factor of 2 that no beat's denominator holds
+    den = 3 ** 646
+    assert den.bit_length() == MAX_SCALE_BITS
+    assert parse_text(f"0 1/{den} 60\n").parts[0].scale == den
+    # the walk that names a later fault takes the same bound
+    with pytest.raises(NotesParseError,
+                       match="velocity out of range, line 2$"):
+        parse_text(f"0 1/{den} 60\n0 1 60 0\n")
 
 
 # Lines for the reader against its oracle: note lines of 2 to 6 fields
@@ -181,8 +200,8 @@ def test_text_round_trip(piece):
 
 
 # One token of a written piece changed, and the note fields it may go in:
-# each change sends the file from the columnar reader to the line loop,
-# which then accepts it ("+3", "٣") or names the fault.
+# each change is either read by the columnar reader ("+3", "٣", "300" as
+# a voice) or a fault that the walker names.
 CHANGED_TOKENS = {"128": [2], "0": [1, 3], "1/0": [0, 1], "1/-2": [0, 1],
                   "-1/2": [0, 1], "1/2/3": [0, 1], "+3": [0, 1, 2, 3, 4],
                   "٣": [0, 1, 2, 3, 4], "300": [4]}
@@ -216,10 +235,6 @@ def test_parse_text_matches_its_oracle_on_regular_files(source):
         _parse_outcome(oracle_parse_text, source)
 
 
-def _no_line_loop(lines):
-    raise AssertionError("the line loop read a regular file")
-
-
 def bench_shaped_text(seed, notes=600, voices=4):
     """A file as the benchmark writes one: a title, then notes sorted by
     onset across the voices, onsets in eighths and durations of 1/8 to 2
@@ -234,14 +249,15 @@ def bench_shaped_text(seed, notes=600, voices=4):
                       for on, dur, p, vel, v in rows)])
 
 
+# A valid file that reached `score._raise_first_fault` would end in its
+# AssertionError, so each test that reads a valid file, here and above,
+# pins that the columnar reader read it.
 @given(pieces(max_voices=4))
 def test_written_pieces_take_the_columnar_path(piece):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(score, "_parse_lines", _no_line_loop)
-        assert parse_text(serialize_text(piece)) == piece
+    assert parse_text(serialize_text(piece)) == piece
 
 
-def test_fixtures_and_bench_files_take_the_columnar_path(monkeypatch):
+def test_fixtures_and_bench_files_take_the_columnar_path():
     fixtures = Path(__file__).parent / "fixtures"
     sources = [path.read_text(encoding="utf-8")
                for path in sorted(fixtures.rglob("*.notes"))]
@@ -251,19 +267,42 @@ def test_fixtures_and_bench_files_take_the_columnar_path(monkeypatch):
     assert len(sources) == 11
     sources += [bench_shaped_text(seed) for seed in range(3)]
     expected = [oracle_parse_text(text) for text in sources]
-    monkeypatch.setattr(score, "_parse_lines", _no_line_loop)
     assert [parse_text(text) for text in sources] == expected
 
 
-def test_trailing_comment_and_blank_lines_take_the_columnar_path(
-        monkeypatch):
-    # 256 note lines fill two blocks, so the trailing lines would
-    # have made a third block of their own
-    text = bench_shaped_text(0, notes=256) + "# end\n\n \t \n"
-    expected = oracle_parse_text(text)
-    assert len(expected.all_events()) == 256
-    monkeypatch.setattr(score, "_parse_lines", _no_line_loop)
-    assert parse_text(text) == expected
+# Valid shapes other than a written piece's, each put among or after
+# 256 note lines, which fill two blocks.
+_NOTES = bench_shaped_text(0, notes=256).splitlines()
+_MIDDLE = len(_NOTES) // 2
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("\n".join(_NOTES) + "\n# end\n\n \t \n",
+                 id="trailing-comment-and-blanks"),
+    pytest.param("\n".join(_NOTES[:_MIDDLE] + [""] + _NOTES[_MIDDLE:]),
+                 id="blank-mid-file"),
+    pytest.param("\n".join(_NOTES[:_MIDDLE] + ["  # a comment"]
+                           + _NOTES[_MIDDLE:]), id="comment-mid-file"),
+    # a blank and a comment line that make the count of tokens of four
+    # five-field lines: only the `#` tells the block apart
+    pytest.param("\n".join(_NOTES[:_MIDDLE] + [
+        "0 1 60 64 0", "", "# 1 2 3 4 5 6 7 8 9", "1 1 62 64 0"]
+        + _NOTES[_MIDDLE:]), id="five-field-token-count"),
+    # a title of five tokens, as many as a note line's
+    pytest.param("\n".join(_NOTES[1:_MIDDLE] + ["@title late in the file"]
+                           + _NOTES[_MIDDLE:] + ["@key F# minor"]),
+                 id="late-tags"),
+    pytest.param("\n".join(_NOTES + ["9 1 60", "9 1 60 100",
+                                     "10 1/2 61 100 0"]),
+                 id="three-and-four-fields"),
+    pytest.param("\n".join(_NOTES + ["9 1 60 64 300", "9 1 60 64 -1"]),
+                 id="voices-300-and-minus-1"),
+    pytest.param("\n".join(_NOTES + ["9 1 +60 064 1_0", "-1/-2 1 ٣ 64 0"]),
+                 id="int-spellings"),
+    pytest.param("0 1 +60 064 1_0\n", id="int-spellings-alone"),
+])
+def test_valid_shapes_take_the_columnar_path(text):
+    assert parse_text(text) == oracle_parse_text(text)
 
 
 @st.composite
