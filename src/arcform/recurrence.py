@@ -197,6 +197,19 @@ def _score(d_steps: int, d_ratios: int, denom: int,
     return max(exact, 0) / (den * denom)
 
 
+def _cut(denom: int, ticks: int, den: int, threshold: float) -> int:
+    """First d in 0..denom with `_score(d, 0, denom, ticks, 0, den)` below
+    the threshold, else denom + 1, counted up from the exact floor of the
+    real bound denom * den * (1 - threshold) / ticks, which is under it."""
+    if not ticks:
+        return denom + 1
+    p, q = threshold.as_integer_ratio()
+    d = min(denom + 1, denom * den * (q - p) // (q * ticks))
+    while d <= denom and _score(d, 0, denom, ticks, 0, den) >= threshold:
+        d += 1
+    return d
+
+
 def similarity(a: IntervalProfile, b: IntervalProfile,
                weights: tuple[float, float] = DEFAULTS.similarity_weights) -> float:
     """1 minus the weighted normalized edit distance of the two profiles."""
@@ -214,8 +227,8 @@ def find_recurrences(piece: Piece, query: Part,
     """Find every non-overlapping statement of the query melody.
 
     Slides windows of 0.5x to 1.5x the query note count over the skyline of
-    each part; candidates at or above the similarity threshold are resolved
-    greedily by descending similarity.
+    each part (a monophonic part is its own skyline); candidates at or above
+    the similarity threshold are resolved greedily by descending similarity.
 
     The window of `length` notes from note `start` has the interval profile
     of the skyline sliced to [start, start + length - 1): semitone steps,
@@ -226,8 +239,10 @@ def find_recurrences(piece: Piece, query: Part,
     each part's last-note lane, shifted down one lane per step, clears the
     windows that would run past their part's last note. The piece takes
     ceil(1.5 q) - 1 packed steps, O(n * q * w / 64) word operations for a
-    q-note query and w-bit lanes, and Python work only per lane that
-    survives the bounds below. Spans come from the skylines' timeline.
+    q-note query and w-bit lanes. Python works only on a lane whose two
+    distances are below their `_cut`s; a step reads its lanes once, steps
+    above ratios in a lane's low 64 bits, an int that keys the step's
+    window-length memo of scores. Spans come from the skylines' timeline.
     """
     if len(query) < 2:
         raise AnalysisError("query shorter than 2 notes")
@@ -240,18 +255,14 @@ def find_recurrences(piece: Piece, query: Part,
 
     qlen = len(qprof)
     width = _lane_width(qlen)
+    half = min(width // 2, 32)  # a lane's two distances, in its low 64 bits
     weight_ticks = n_pitch, n_rhythm, den = _weight_ticks(weights)
-    scores: dict[tuple[int, int, int], float] = {}
-    # The score falls as either distance grows, so a window can pass only
-    # if each distance is below the first one that fails with the other
-    # distance at 0: (cut for steps, cut for ratios) by window denominator,
-    # max(qlen, length - 1) for lo <= length <= hi.
-    cuts: dict[int, tuple[int, ...]] = {}
-    for denom in range(qlen, hi):
-        cuts[denom] = tuple(
-            bisect_left(range(denom + 1), True, key=lambda d: _score(
-                d, 0, denom, weight, 0, den) < threshold)
-            for weight in (n_pitch, n_rhythm))
+    # A window passes only if each distance is below its `_cut`, as the
+    # score falls when either grows. By denominator max(qlen, length - 1),
+    # lo <= length <= hi: both cuts, and a memo of scores by the read's int.
+    cuts = {denom: (_cut(denom, n_pitch, den, threshold),
+                    _cut(denom, n_rhythm, den, threshold), {})
+            for denom in range(qlen, hi)}
 
     # Every part's skyline goes into one piece-wide line, note s in lane
     # s. A duration ratio is its reduced (numerator, denominator) pair.
@@ -265,7 +276,7 @@ def find_recurrences(piece: Piece, query: Part,
     for part in piece.parts:
         if not len(part):
             continue
-        line = skyline(Piece(parts=(part,)))
+        line = part if part.is_monophonic() else skyline(Piece(parts=(part,)))
         if len(line) < lo:
             continue
         lines.append(line)
@@ -306,7 +317,7 @@ def find_recurrences(piece: Piece, query: Part,
         if t + 1 < lo:
             continue
         denom = max(qlen, t)
-        cut_steps, cut_ratios = cuts[denom]
+        cut_steps, cut_ratios, memo = cuts[denom]
         # SWAR compare: a lane keeps its high bit in (d | high) - cut
         # exactly when d >= cut
         fails = (((d_steps | high) - cut_steps * low)
@@ -314,14 +325,14 @@ def find_recurrences(piece: Piece, query: Part,
         keep = high & ~(fails | crossing)
         if not keep:
             continue
-        lane_steps = _read_lanes(d_steps, lanes, width)
-        lane_ratios = _read_lanes(d_ratios, lanes, width)
+        both = _read_lanes((d_steps << half) | d_ratios, lanes, width)
         for start in compress(range(lanes), _read_lanes(keep >> (width - 1),
                                                         lanes, width)):
-            key = (lane_steps[start], lane_ratios[start], denom)
-            sim = scores.get(key)
+            key = both[start]
+            sim = memo.get(key)
             if sim is None:
-                sim = scores[key] = _score(*key, *weight_ticks)
+                sim = memo[key] = _score(*divmod(key, 1 << half), denom,
+                                         *weight_ticks)
             if sim >= threshold and sim > best_from[start]:
                 best_from[start] = sim
                 last = start + t
@@ -330,13 +341,13 @@ def find_recurrences(piece: Piece, query: Part,
                     candidates.append((-sim, voices[start], onsets[start],
                                        ends[last]))
 
-    # greedy by descending similarity; a candidate overlapping a chosen
-    # one in the same voice is dropped. The chosen spans of one voice are
-    # disjoint, so sorted by start they are sorted by end too, and only
-    # the last one starting before a candidate ends can overlap it.
+    # greedy by descending similarity, dropping a candidate that overlaps
+    # a chosen one in its voice. A voice's chosen spans are disjoint: no
+    # two share a start, by start they are sorted by end too, and only the
+    # last one starting before a candidate ends can overlap it.
     candidates.sort()
     spans: dict[int, tuple[list[int], list[int]]] = {}
-    chosen: list[tuple[float, int, Fraction, Fraction]] = []
+    chosen: list[tuple[int, int, int, float]] = []
     for neg_sim, voice, start, end in candidates:
         starts, stops = spans.setdefault(voice, ([], []))
         k = bisect_left(starts, end)
@@ -344,12 +355,12 @@ def find_recurrences(piece: Piece, query: Part,
             continue
         starts.insert(k, start)
         stops.insert(k, end)
-        chosen.append((-neg_sim, voice, Fraction(start, scale),
-                       Fraction(end, scale)))
-    chosen.sort(key=lambda c: (c[2], c[1]))
+        chosen.append((start, voice, end, -neg_sim))
+    chosen.sort()
 
-    matches = tuple(RecurrenceMatch(i, voice, start, end, sim)
-                    for i, (sim, voice, start, end) in enumerate(chosen))
+    matches = tuple(RecurrenceMatch(i, voice, Fraction(start, scale),
+                                    Fraction(end, scale), sim)
+                    for i, (start, voice, end, sim) in enumerate(chosen))
     outlier: int | None = None
     if matches:
         max_dev = max(m.deviation for m in matches)

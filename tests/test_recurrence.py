@@ -8,7 +8,7 @@ from arcform import (AnalysisError, NoteEvent, Part, Piece,
                      estimate_key, find_recurrences, interval_profile,
                      parse_text, similarity, skyline)
 from arcform.recurrence import (MAJOR_SET, NATURAL_MINOR_SET,
-                                IntervalProfile, _lane_width,
+                                IntervalProfile, _cut, _lane_width,
                                 _packed_distances, _read_lanes, _score,
                                 _weight_ticks)
 
@@ -252,6 +252,10 @@ def test_skyline_matches_oracle(piece):
     assert skyline(piece) == oracle_skyline(piece)
 
 
+THRESHOLDS = [0.01, 0.1, 0.3, 0.6, 0.9, 1.0]
+WEIGHT_PAIRS = [(0.7, 0.3), (0.5, 0.5), (0.1, 0.9), (1.0, 0.0), (0.0, 1.0)]
+
+
 @st.composite
 def recurrence_cases(draw, notes=st.integers(2, 8), max_parts=3,
                      min_events=0, max_events=14,
@@ -293,9 +297,8 @@ def recurrence_cases(draw, notes=st.integers(2, 8), max_parts=3,
                                      max_size=n)),
                        draw(st.lists(_SHORT_DURATIONS, min_size=n,
                                      max_size=n)))
-    threshold = draw(st.sampled_from([0.01, 0.1, 0.3, 0.6, 0.9, 1.0]))
-    weights = draw(st.sampled_from([(0.7, 0.3), (0.5, 0.5), (0.1, 0.9),
-                                    (1.0, 0.0), (0.0, 1.0)]))
+    threshold = draw(st.sampled_from(THRESHOLDS))
+    weights = draw(st.sampled_from(WEIGHT_PAIRS))
     return piece, query, threshold, weights
 
 
@@ -329,6 +332,33 @@ def test_find_recurrences_matches_oracle_at_lane_width_edges(notes, data):
         oracle_find_recurrences(piece, query, threshold, weights)
 
 
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+@pytest.mark.parametrize("weights", WEIGHT_PAIRS)
+def test_cut_is_the_first_failing_distance(weights, threshold):
+    # zero weights included: their distance never fails, so the cut is
+    # denom + 1
+    *ticks, den = _weight_ticks(weights)
+    for n in ticks:
+        for denom in range(1, 49):
+            first = next((d for d in range(denom + 1)
+                          if _score(d, 0, denom, n, 0, den) < threshold),
+                         denom + 1)
+            assert _cut(denom, n, den, threshold) == first
+
+
+@pytest.mark.parametrize("weights", [
+    (5e-324, 1.0), (1.0, 5e-324), (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(1, 10**400), 1 - Fraction(1, 10**400))])
+@pytest.mark.parametrize("threshold", [Fraction(1, 3), 0.6, 1])
+def test_extreme_and_exact_weights_and_thresholds(weights, threshold):
+    # a subnormal weight has a 1075-bit denominator and a Fraction one
+    # may be far below any float, so the cuts take no float division
+    piece = Piece(parts=(melody(TUNE),))
+    query = melody(TUNE[2:9])
+    assert find_recurrences(piece, query, threshold, weights) == \
+        oracle_find_recurrences(piece, query, threshold, weights)
+
+
 # --- find_recurrences ---------------------------------------------------------
 
 TUNE = [60, 64, 62, 65, 64, 60, 62, 64, 65, 67, 65, 64]
@@ -345,6 +375,22 @@ def planted_piece(shifts, gap=4):
             onset += 1
         onset += gap
     return Piece(parts=(Part(0, tuple(events)),)), starts
+
+
+@pytest.mark.parametrize("statement, span", [
+    # two notes split in two: the whole statement, ceil(1.5 * 4) notes,
+    # scores 0.6, and each shorter window at most 0.5
+    ([60, 64, 64, 67, 67, 72], (0, 6)),
+    # one more split: the whole statement would score 0.5 but is a note
+    # too long, and the 5-note window from the third note ties it
+    ([60, 64, 64, 64, 67, 67, 72], (2, 7)),
+])
+def test_windows_reach_one_and_a_half_times_the_query(statement, span):
+    piece = Piece(parts=(melody(statement),))
+    query = melody([60, 64, 67, 72])
+    series = find_recurrences(piece, query, 0.45, (1.0, 0.0))
+    assert series == oracle_find_recurrences(piece, query, 0.45, (1.0, 0.0))
+    assert [(m.start, m.end) for m in series.matches] == [span]
 
 
 def test_parts_sharing_a_voice_compare_spans_in_beats():
@@ -379,6 +425,32 @@ def test_planted_exact_transpositions_recovered():
     assert [m.start for m in series.matches] == starts
     assert all(m.similarity == 1.0 for m in series.matches)
     assert series.outlier_index is None
+
+
+def test_planted_statements_found_in_128_bit_lanes():
+    # a 70-note query has 69 intervals, so its lanes are 128 bits wide and
+    # a step reads both distances from each lane's low 64 bits
+    tune = [(60 + (5 * i * i + 3 * i) % 14, Fraction(1 + (i % 3 == 0), 2))
+            for i in range(70)]
+    assert _lane_width(len(tune) - 1) == 128
+    varied = [(p + (i in (10, 30, 50)), d) for i, (p, d) in enumerate(tune)]
+    statements = [[(p + 5, d) for p, d in tune], varied, tune,
+                  [(p - 3, d) for p, d in tune]]
+    events, spans = [], []
+    onset = Fraction(0)
+    for statement in statements:
+        start = onset
+        for pitch, dur in statement:
+            events.append(NoteEvent(onset, dur, pitch))
+            onset += dur
+        spans.append((start, onset))
+        onset += 4
+    piece = Piece(parts=(Part(0, tuple(events)),))
+    series = find_recurrences(piece, melody(*zip(*tune)), 0.6, (0.7, 0.3))
+    assert [(m.start, m.end) for m in series.matches] == spans
+    assert [m.similarity == 1.0 for m in series.matches] == \
+        [True, False, True, True]
+    assert series.outlier_index == 1
 
 
 def test_no_statements_empty_series():
