@@ -199,11 +199,11 @@ def _score(d_steps: int, d_ratios: int, denom: int,
 
 def _cut(denom: int, ticks: int, den: int, threshold: float) -> int:
     """First d in 0..denom with `_score(d, 0, denom, ticks, 0, den)` below
-    the threshold, else denom + 1, counted up from the exact floor of the
-    real bound denom * den * (1 - threshold) / ticks, which is under it."""
+    the threshold, else denom + 1, counted up from a guess: the floor of
+    denom * den * (1 - t) / ticks for t = float(threshold)."""
     if not ticks:
         return denom + 1
-    p, q = threshold.as_integer_ratio()
+    p, q = float(threshold).as_integer_ratio()
     d = min(denom + 1, denom * den * (q - p) // (q * ticks))
     while d <= denom and _score(d, 0, denom, ticks, 0, den) >= threshold:
         d += 1
