@@ -199,15 +199,9 @@ def _score(d_steps: int, d_ratios: int, denom: int,
 
 def _cut(denom: int, ticks: int, den: int, threshold: float) -> int:
     """First d in 0..denom with `_score(d, 0, denom, ticks, 0, den)` below
-    the threshold, else denom + 1, counted up from a guess: the floor of
-    denom * den * (1 - t) / ticks for t = float(threshold)."""
-    if not ticks:
-        return denom + 1
-    p, q = float(threshold).as_integer_ratio()
-    d = min(denom + 1, denom * den * (q - p) // (q * ticks))
-    while d <= denom and _score(d, 0, denom, ticks, 0, den) >= threshold:
-        d += 1
-    return d
+    the threshold, else denom + 1: the score falls as d grows."""
+    return bisect_left(range(denom + 1), True, key=lambda d: _score(
+        d, 0, denom, ticks, 0, den) < threshold)
 
 
 def similarity(a: IntervalProfile, b: IntervalProfile,
@@ -227,8 +221,8 @@ def find_recurrences(piece: Piece, query: Part,
     """Find every non-overlapping statement of the query melody.
 
     Slides windows of 0.5x to 1.5x the query note count over the skyline of
-    each part (a monophonic part is its own skyline); candidates at or above
-    the similarity threshold are resolved greedily by descending similarity.
+    each part; candidates at or above the similarity threshold are resolved
+    greedily by descending similarity.
 
     The window of `length` notes from note `start` has the interval profile
     of the skyline sliced to [start, start + length - 1): semitone steps,
@@ -276,7 +270,7 @@ def find_recurrences(piece: Piece, query: Part,
     for part in piece.parts:
         if not len(part):
             continue
-        line = part if part.is_monophonic() else skyline(Piece(parts=(part,)))
+        line = skyline(Piece(parts=(part,)))
         if len(line) < lo:
             continue
         lines.append(line)

@@ -609,10 +609,10 @@ def skyline(piece: Piece) -> Part:
     if not any(map(len, parts)):
         raise AnalysisError("empty piece")
     if len(parts) == 1 and parts[0].is_monophonic():
-        part = parts[0]
-        return Part._from_columns(0, part.scale, [
-            part.onsets, part.durations, part.pitches, part.velocities,
-            part.voices])
+        # its columns are already sorted and canonical: no `_fill` needed
+        line = Part.__new__(Part)
+        vars(line).update(zip(Part._fields, Part._key(parts[0])), voice=0)
+        return line
     scale, onsets, ends = piece.timeline
     pitches, velocities, voices = map(piece.column,
                                       ("pitches", "velocities", "voices"))
