@@ -14,10 +14,12 @@ Each mutant changes one thing: a comparison flipped (< and <=, > and
 in +=, -=), an `and` or `or` swapped, or an int constant plus 1. It
 is written with `ast.unparse` into a temporary copy of the checkout
 (without .git and the caches), never into the checkout itself, and the
-tests run there with -x, one mutant at a time, each within TIMEOUT
-seconds and with hypothesis's shrink phase off. The unmutated module,
-unparsed the same way, must pass first. A mutant that fails a test, times out or fails to import is
-killed. Each mutant is printed with its line, change and outcome.
+tests run there with -x, one mutant at a time, with hypothesis's shrink
+phase off. The unmutated module, unparsed the same way, must pass first;
+each mutant's tests then get TIMEOUT_FACTOR times that run's time, and
+at least MIN_TIMEOUT seconds. A mutant that fails a test, times out or
+fails to import is killed. Each mutant is printed with its line, change
+and outcome.
 Only the standard library is used, besides pytest in the subprocess.
 """
 
@@ -34,7 +36,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT = 300.0  # seconds for the tests of one mutant
+# the tests of one mutant may take this many times the unmutated run's
+# time, and at least MIN_TIMEOUT seconds, before it counts as killed
+TIMEOUT_FACTOR = 10
+MIN_TIMEOUT = 30.0
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn,
@@ -113,7 +118,8 @@ else:
 """
 
 
-def _run_tests(copy: Path, pytest_args: list[str]) -> str:
+def _run_tests(copy: Path, pytest_args: list[str],
+               timeout: float | None) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     try:
@@ -121,7 +127,7 @@ def _run_tests(copy: Path, pytest_args: list[str]) -> str:
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
              "no:cacheprovider", "-p", "mutants_plugin", *pytest_args],
             cwd=copy, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=TIMEOUT)
+            stderr=subprocess.DEVNULL, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout"
     if done.returncode in (0, 1):
@@ -154,16 +160,21 @@ def main() -> int:
         (copy / "mutants_plugin.py").write_text(PLUGIN, encoding="utf-8")
         target = copy / relative
         target.write_text(mutant_source(source, only, -1), encoding="utf-8")
-        outcome = _run_tests(copy, pytest_args)
+        start = time.perf_counter()
+        outcome = _run_tests(copy, pytest_args, None)
         if outcome != "survived":
             print(f"the unmutated module does not pass: {outcome}")
             return 2
+        timeout = max(MIN_TIMEOUT,
+                      TIMEOUT_FACTOR * (time.perf_counter() - start))
+        print(f"unmutated run passes; each mutant gets {timeout:.0f} s",
+              flush=True)
         survivors = 0
         for k, (node, _, change) in enumerate(sites):
             target.write_text(mutant_source(source, only, k),
                               encoding="utf-8")
             start = time.perf_counter()
-            outcome = _run_tests(copy, pytest_args)
+            outcome = _run_tests(copy, pytest_args, timeout)
             survivors += outcome == "survived"
             print(f"{k + 1:4d}/{len(sites)} line {node.lineno:4d} "
                   f"{change:18s} {outcome} "

@@ -37,6 +37,9 @@ __all__ = [
 MAJOR_SET = frozenset({0, 2, 4, 5, 7, 9, 11})
 # natural minor plus the raised 7th (leading tone) admitted as diatonic
 MINOR_SET = frozenset({0, 2, 3, 5, 7, 8, 10, 11})
+# the joint bound weighs in 2**-10 steps: a 16-bit lane's weighted distance
+# is at most 2**10 * 23 < 2**15, so it stays below the lane's high bit
+_BOUND_BITS = 10
 
 
 class IntervalProfile(Value):
@@ -197,11 +200,12 @@ def _score(d_steps: int, d_ratios: int, denom: int,
     return max(exact, 0) / (den * denom)
 
 
-def _cut(denom: int, ticks: int, den: int, threshold: float) -> int:
-    """First d in 0..denom with `_score(d, 0, denom, ticks, 0, den)` below
-    the threshold, else denom + 1: the score falls as d grows."""
-    return bisect_left(range(denom + 1), True, key=lambda d: _score(
-        d, 0, denom, ticks, 0, den) < threshold)
+def _joint_cut(denom: int, threshold: float) -> int:
+    """The least integer over 2**_BOUND_BITS * denom * (1 - t + 2**-50),
+    t = float(threshold). A passing score is at least t, and int / int
+    rounds by at most 2**-54 below 1: no passing window reaches it."""
+    p, q = float(threshold).as_integer_ratio()
+    return (denom * ((q - p << 50) + q) << _BOUND_BITS) // (q << 50) + 1
 
 
 def similarity(a: IntervalProfile, b: IntervalProfile,
@@ -233,9 +237,9 @@ def find_recurrences(piece: Piece, query: Part,
     each part's last-note lane, shifted down one lane per step, clears the
     windows that would run past their part's last note. The piece takes
     ceil(1.5 q) - 1 packed steps, O(n * q * w / 64) word operations for a
-    q-note query and w-bit lanes. Python works only on a lane whose two
-    distances are below their `_cut`s; a step reads its lanes once, steps
-    above ratios in a lane's low 64 bits, an int that keys the step's
+    q-note query and w-bit lanes. Python works only on a lane whose joint
+    weighted distance is under `_joint_cut`; a step reads its lanes once,
+    steps above ratios in a lane's low 64 bits, an int that keys the step's
     window-length memo of scores. Spans come from the skylines' timeline.
     """
     if len(query) < 2:
@@ -251,11 +255,11 @@ def find_recurrences(piece: Piece, query: Part,
     width = _lane_width(qlen)
     half = min(width // 2, 32)  # a lane's two distances, in its low 64 bits
     weight_ticks = n_pitch, n_rhythm, den = _weight_ticks(weights)
-    # A window passes only if each distance is below its `_cut`, as the
-    # score falls when either grows. By denominator max(qlen, length - 1),
-    # lo <= length <= hi: both cuts, and a memo of scores by the read's int.
-    cuts = {denom: (_cut(denom, n_pitch, den, threshold),
-                    _cut(denom, n_rhythm, den, threshold), {})
+    # A window passes only if a * d_steps + b * d_ratios (weights rounded
+    # down to 2**-_BOUND_BITS steps) is under `_joint_cut`. By denominator
+    # max(qlen, length - 1), lo <= length <= hi: that cut and a score memo.
+    a, b = (n_pitch << _BOUND_BITS) // den, (n_rhythm << _BOUND_BITS) // den
+    cuts = {denom: (_joint_cut(denom, threshold), {})
             for denom in range(qlen, hi)}
 
     # Every part's skyline goes into one piece-wide line, note s in lane
@@ -311,11 +315,10 @@ def find_recurrences(piece: Piece, query: Part,
         if t + 1 < lo:
             continue
         denom = max(qlen, t)
-        cut_steps, cut_ratios, memo = cuts[denom]
-        # SWAR compare: a lane keeps its high bit in (d | high) - cut
-        # exactly when d >= cut
-        fails = (((d_steps | high) - cut_steps * low)
-                 | ((d_ratios | high) - cut_ratios * low))
+        cut, memo = cuts[denom]
+        # SWAR compare: a lane keeps its high bit in (s | high) - cut
+        # exactly when its weighted distance s >= cut
+        fails = ((a * d_steps + b * d_ratios) | high) - cut * low
         keep = high & ~(fails | crossing)
         if not keep:
             continue

@@ -96,9 +96,16 @@ def _float_text(value: float) -> str:
 
 def _write(value: object, nl: str, out: list[str]) -> None:
     """Append the JSON text of `value` to `out`; `nl` is the newline and
-    indent of the line `value` starts on. Tests in the order of the
-    conversion `render_json` names, then in `json`'s."""
-    if value is None:
+    indent of the line `value` starts on. Exact types first, then tests
+    in the order of the conversion `render_json` names, then `json`'s."""
+    cls = type(value)  # isinstance(value, Fraction) would ask ABCMeta
+    if cls is int:
+        out.append(int.__repr__(value))
+    elif cls is float:
+        out.append(_float_text(value))
+    elif cls is str:
+        out.append(encode_basestring(value))
+    elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
@@ -7,8 +8,9 @@ from arcform import (AnalysisError, NoteEvent, Part, Piece,
                      chromaticism_index, classify_cadence, climax_profile,
                      estimate_key, find_recurrences, interval_profile,
                      parse_text, similarity, skyline)
-from arcform.recurrence import (MAJOR_SET, NATURAL_MINOR_SET,
-                                IntervalProfile, _cut, _lane_width,
+from arcform.config import DEFAULTS
+from arcform.recurrence import (_BOUND_BITS, MAJOR_SET, NATURAL_MINOR_SET,
+                                IntervalProfile, _joint_cut, _lane_width,
                                 _packed_distances, _read_lanes, _score,
                                 _weight_ticks)
 
@@ -332,23 +334,39 @@ def test_find_recurrences_matches_oracle_at_lane_width_edges(notes, data):
         oracle_find_recurrences(piece, query, threshold, weights)
 
 
-@pytest.mark.parametrize("threshold", THRESHOLDS)
-@pytest.mark.parametrize("weights", WEIGHT_PAIRS)
-def test_cut_is_the_first_failing_distance(weights, threshold):
-    # zero weights included: their distance never fails, so the cut is
-    # denom + 1
-    *ticks, den = _weight_ticks(weights)
-    for n in ticks:
-        for denom in range(1, 49):
-            first = next((d for d in range(denom + 1)
-                          if _score(d, 0, denom, n, 0, den) < threshold),
-                         denom + 1)
-            assert _cut(denom, n, den, threshold) == first
-
-
-@pytest.mark.parametrize("weights", [
+EXTREME_WEIGHTS = [
     (5e-324, 1.0), (1.0, 5e-324), (Fraction(1, 3), Fraction(2, 3)),
-    (Fraction(1, 10**400), 1 - Fraction(1, 10**400))])
+    (Fraction(1, 10**400), 1 - Fraction(1, 10**400))]
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS + [
+    # a third, a Fraction just below the float 0.6 (which it rounds up
+    # to), one just above the float below 1 (which it rounds down to)
+    Fraction(1, 3), Fraction(0.6) - Fraction(1, 2**80),
+    1 - Fraction(7, 10 * 2**53), 1])
+@pytest.mark.parametrize("weights", WEIGHT_PAIRS + EXTREME_WEIGHTS)
+def test_joint_bound_never_drops_a_passing_pair(weights, threshold):
+    *ticks, den = _weight_ticks(weights)
+    a, b = ((n << _BOUND_BITS) // den for n in ticks)
+    for denom in range(1, 49):
+        cut = _joint_cut(denom, threshold)
+        for d_steps in range(denom + 1):
+            for d_ratios in range(denom + 1):
+                if _score(d_steps, d_ratios, denom, *ticks, den) >= threshold:
+                    assert a * d_steps + b * d_ratios < cut
+    # at the widest query of a lane width (one more note widens the
+    # lane), every distance is at most the last denominator: the weighted
+    # distance and the cut stay below the lane's high bit, so the packed
+    # compare borrows from no other lane
+    for notes in (16, 32):
+        width = _lane_width(notes - 1)
+        assert width == notes < _lane_width(notes)
+        denom = -(-3 * notes // 2) - 1
+        assert (a + b) * denom < 2 ** (width - 1)
+        assert _joint_cut(denom, threshold) < 2 ** (width - 1)
+
+
+@pytest.mark.parametrize("weights", EXTREME_WEIGHTS)
 @pytest.mark.parametrize("threshold", [Fraction(1, 3), 0.6, 1])
 def test_extreme_and_exact_weights_and_thresholds(weights, threshold):
     # a subnormal weight has a 1075-bit denominator and a Fraction one
@@ -393,6 +411,31 @@ def test_windows_reach_one_and_a_half_times_the_query(statement, span):
     assert [(m.start, m.end) for m in series.matches] == [span]
 
 
+def test_windows_start_at_half_the_query():
+    # a 6-note query takes windows of 3 to 9 notes. The 3-note statement
+    # scores 0.2, and so does its first two notes' window: the third note
+    # turns an insertion in each stream into a substitution. That
+    # shorter window would win the tie, but it is too short.
+    piece = Piece(parts=(melody([60, 62, 90], [1, 1, 3]),))
+    query = melody([60, 62, 64, 65, 67, 69])
+    series = find_recurrences(piece, query, 0.2, (0.5, 0.5))
+    assert series == oracle_find_recurrences(piece, query, 0.2, (0.5, 0.5))
+    assert [(m.start, m.end, m.similarity) for m in series.matches] == \
+        [(0, 5, 0.2)]
+
+
+def test_window_at_the_float_below_the_threshold_fails():
+    # the best windows score 0.5 (two of four steps replaced). A Fraction
+    # just above 0.5 rounds to 0.5, so they pass the joint bound, and the
+    # exact compare with the threshold must drop them.
+    piece = Piece(parts=(melody([60, 61, 62, 63, 65]),))
+    query = melody([60, 62, 64, 65, 67])
+    assert [m.similarity for m in find_recurrences(
+        piece, query, 0.5, (1.0, 0.0)).matches] == [0.5]
+    threshold = Fraction(1, 2) + Fraction(1, 2**60)
+    assert find_recurrences(piece, query, threshold, (1.0, 0.0)).matches == ()
+
+
 def test_parts_sharing_a_voice_compare_spans_in_beats():
     # the same tune in voice 0 at beats 20-28 in quarters (scale 1) and at
     # beats 10-14 in eighths (scale 2): equal ticks, disjoint beats
@@ -425,6 +468,32 @@ def test_planted_exact_transpositions_recovered():
     assert [m.start for m in series.matches] == starts
     assert all(m.similarity == 1.0 for m in series.matches)
     assert series.outlier_index is None
+
+
+def test_joint_bound_scores_only_the_windows_over_the_threshold(
+        monkeypatch):
+    # every lane that reaches the score memo passes through `compress`
+    scored = []
+
+    def counting(data, selectors):
+        starts = list(compress(data, selectors))
+        scored.extend(starts)
+        return iter(starts)
+
+    monkeypatch.setattr("arcform.recurrence.compress", counting)
+    piece, _ = planted_piece([0, 5, -3, 7])
+    query = melody(TUNE)
+    threshold, weights = DEFAULTS.threshold, DEFAULTS.similarity_weights
+    find_recurrences(piece, query, threshold, weights)
+    line = skyline(piece).events
+    profile, n = interval_profile(query), len(query)
+    passing = sum(
+        similarity(profile, interval_profile(Part(0, line[s:s + length])),
+                   weights) >= threshold
+        for length in range(max(2, n // 2), -(-3 * n // 2) + 1)
+        for s in range(len(line) - length + 1))
+    # per-distance cuts let 298 lanes through for 210 passing windows
+    assert passing <= len(scored) <= 1.05 * passing
 
 
 def test_planted_statements_found_in_128_bit_lanes():

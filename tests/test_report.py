@@ -1,6 +1,7 @@
 """The one-pass JSON writer against the standard library's encoder."""
 
 import gc
+from enum import IntEnum
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,6 +15,21 @@ from arcform.report import build_report, render_json
 from oracles import oracle_render_json
 
 NAN, INF = float("nan"), float("inf")
+
+
+# subclasses of int, str and float, which the writer's exact-type tests
+# pass over to its isinstance chain
+class Mode(IntEnum):
+    MAJOR = 1
+
+
+class Name(str):
+    pass
+
+
+class Level(float):
+    pass
+
 
 # quotes, backslashes, control characters, non-ASCII text, a line
 # separator and a lone surrogate, as a non-UTF-8 file name brings in
@@ -71,7 +87,9 @@ REPORT = build_report(
     ((F(1), 0.5),), ((F(1, 3), 0.1234567), (F(-2), NAN)),
     [[F(1), 0.5]], ((1, 0.5),), ((F(1), 1),), ((F(1), 0.5, 0.5),),
     ((F(1), 0.5), [F(1), 0.5], (F(1), 1)),
-    AnalysisConfig(), IntervalProfile((), ())])
+    AnalysisConfig(), IntervalProfile((), ()),
+    Mode.MAJOR, Name("é\"x"), Level(0.1234567), Level(1e300),
+    {Name("k"): [Mode.MAJOR, Level(-0.0)]}, ((F(1), Level(0.5)),)])
 def test_render_json_is_the_standard_encoding(value):
     assert render_json(value) == oracle_render_json(value)
 
