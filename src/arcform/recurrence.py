@@ -202,8 +202,8 @@ def _score(d_steps: int, d_ratios: int, denom: int,
 
 def _joint_cut(denom: int, threshold: float) -> int:
     """The least integer over 2**_BOUND_BITS * denom * (1 - t + 2**-50),
-    t = float(threshold). A passing score is at least t, and int / int
-    rounds by at most 2**-54 below 1: no passing window reaches it."""
+    t = float(threshold): a passing window's exact score is within 2**-54
+    of its float, at least the threshold, itself within 2**-54 of t."""
     p, q = float(threshold).as_integer_ratio()
     return (denom * ((q - p << 50) + q) << _BOUND_BITS) // (q << 50) + 1
 
