@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 
@@ -30,7 +31,7 @@ __all__ = [
 MAX_GRID_POINTS = 100_000
 
 
-class Curve:
+class Curve(Value):
     """A salience curve as `salience_curve` gives it: a read-only
     sequence of `(time, salience)` rows, equal to the tuple of them, and
     with that tuple's hash, length, items, slices and repr.
@@ -40,28 +41,20 @@ class Curve:
     so a caller that reads only the peak statistics never builds them.
     """
 
-    __slots__ = ("ticks", "unit", "saliences", "_rows")
+    _fields = ("ticks", "unit", "saliences")
 
     def __init__(self, ticks: Sequence[int], unit: int,
                  saliences: Sequence[float]) -> None:
-        init = object.__setattr__
-        init(self, "ticks", ticks)
-        init(self, "unit", unit)
-        init(self, "saliences", saliences)
-        init(self, "_rows", None)
+        vars(self).update(ticks=ticks, unit=unit, saliences=saliences)
 
-    @property
+    @cached_property
     def rows(self) -> tuple[tuple[Fraction, float], ...]:
-        rows = self._rows
-        if rows is None:
-            unit = self.unit
-            # a list first: `tuple()` of a generator resizes its result,
-            # which shifts short curves between CPython's per-size tuple
-            # free lists
-            rows = tuple([(Fraction(t, unit), s)
-                          for t, s in zip(self.ticks, self.saliences)])
-            object.__setattr__(self, "_rows", rows)
-        return rows
+        unit = self.unit
+        # a list first: `tuple()` of a generator resizes its result,
+        # which shifts short curves between CPython's per-size tuple
+        # free lists
+        return tuple([(Fraction(t, unit), s)
+                      for t, s in zip(self.ticks, self.saliences)])
 
     def __len__(self) -> int:
         return len(self.saliences)
@@ -84,15 +77,6 @@ class Curve:
 
     def __repr__(self) -> str:
         return repr(self.rows)
-
-    def __reduce__(self):
-        return Curve, (self.ticks, self.unit, self.saliences)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to curve attribute {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete curve attribute {name!r}")
 
 
 class ClimaxProfile(Value):

@@ -341,6 +341,5 @@ def sonata_alignment(mode: str = "figure3") -> SonataAlignment:
 
 
 def time_reverse(form: str) -> str:
-    if not form:
-        raise GrammarError("empty form")
+    _check_form(form)
     return form[::-1]

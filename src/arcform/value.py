@@ -15,6 +15,8 @@ class Value:
     can be assigned or deleted after that. Two values are equal when
     they are of the same class and their fields are equal, equal values
     hash equal, and the repr shows each field as a keyword argument.
+    `climax.Curve` is the one exception: it compares, hashes and reprs
+    as the tuple of its rows.
     """
 
     _fields: tuple[str, ...] = ()

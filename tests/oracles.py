@@ -14,17 +14,23 @@ writer, tonal analyses that read each note as a `NoteEvent` with
 checks each note through one call and grows the tick scale at every new
 token, and the report text from the standard library's JSON encoder
 over `jsonable`'s plain values instead of the one-pass writer.
+
+It also holds the test-input builders more than one test file uses: a
+MIDI byte writer, melodies and random pieces, and a CLI runner.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import subprocess
+import sys
 import warnings
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from pathlib import Path
 from typing import Optional, Sequence, Set, Tuple
 
 from arcform.climax import Curve
@@ -36,6 +42,8 @@ from arcform.report import PRECISION
 from arcform.score import (MAX_SCALE_BITS, NoteEvent, Part, Piece,
                            _check_note, parse_key_name)
 from arcform.value import Value
+
+PKG_ROOT = Path(__file__).resolve().parent.parent
 
 
 def recursive_edit_distance(a: Sequence, b: Sequence) -> int:
@@ -521,3 +529,65 @@ def midi_file(tracks, division: int = 480, fmt: int = 1,
         body += varlen(0) + bytes([0xFF, 0x2F, 0x00])  # end of track
         data += struct.pack(">4sI", b"MTrk", len(body)) + body
     return data + alien * (len(tracks) in alien_before)
+
+
+# --- melodies, random pieces and the CLI ------------------------------------
+
+def melody(pitches, durations=None, start=0, voice=0):
+    durations = durations or [1] * len(pitches)
+    events = []
+    onset = Fraction(start)
+    for pitch, dur in zip(pitches, durations):
+        events.append(NoteEvent(onset, Fraction(dur), pitch, 64, voice))
+        onset += Fraction(dur)
+    return Part(voice=voice, events=tuple(events))
+
+
+def random_piece(rng, max_events=30):
+    n = rng.randint(1, max_events)
+    events = []
+    onset = Fraction(0)
+    for _ in range(n):
+        onset += Fraction(rng.randint(0, 4), rng.choice([1, 2, 4]))
+        dur = Fraction(rng.randint(1, 8), rng.choice([1, 2, 4]))
+        events.append(NoteEvent(onset, dur, rng.randint(30, 100),
+                                rng.randint(1, 127), 0))
+    return Piece(parts=(Part(0, tuple(events)),))
+
+
+def short_note_piece(rng, max_events=40):
+    """Random monophonic pieces with very short notes, so the onset
+    pattern of the reversed piece is (nearly) the mirrored original."""
+    n = rng.randint(8, max_events)
+    events = []
+    onset = Fraction(0)
+    for _ in range(n):
+        events.append(NoteEvent(onset, Fraction(1, 8), rng.randint(30, 100),
+                                rng.randint(1, 127), 0))
+        onset += rng.choice([Fraction(1), Fraction(1), Fraction(2)])
+    return Piece(parts=(Part(0, tuple(events)),))
+
+
+def reverse_piece(piece):
+    total = piece.beats_total
+    parts = []
+    for part in piece.parts:
+        events = tuple(NoteEvent(total - e.end, e.duration, e.pitch,
+                                 e.velocity, e.voice) for e in part.events)
+        parts.append(Part(part.voice, events))
+    return Piece(parts=tuple(parts), key=piece.key, title=piece.title)
+
+
+def peak_margin(curve):
+    """Gap between the curve maximum and the best non-adjacent sample."""
+    values = [s for _, s in curve]
+    top = max(values)
+    i = values.index(top)
+    rest = [v for j, v in enumerate(values) if abs(j - i) > 1]
+    return top - max(rest) if rest else top
+
+
+def run_cli(*args, cwd=None):
+    return subprocess.run(
+        [sys.executable, "-m", "arcform", *map(str, args)],
+        capture_output=True, text=True, cwd=cwd or PKG_ROOT)

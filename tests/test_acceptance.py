@@ -14,43 +14,21 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
-import pytest
+from arcform import (Part, Piece, chromaticism_index, climax_profile,
+                     estimate_key, classify_cadence, find_recurrences,
+                     flatten, generate, interval_profile, parse_form,
+                     parse_text, predicted_climax_position, recognize,
+                     right_replicate, similarity, skyline)
 
-from arcform import (NoteEvent, Part, Piece, chromaticism_index,
-                     climax_profile, estimate_key, classify_cadence,
-                     find_recurrences, flatten, generate, interval_profile,
-                     parse_form, parse_text, predicted_climax_position,
-                     recognize, right_replicate, similarity, skyline)
-
-from oracles import left_language, oracle_similarity, recursive_edit_distance
-
-PKG_ROOT = Path(__file__).resolve().parent.parent
+from oracles import (left_language, melody, oracle_similarity, peak_margin,
+                     random_piece, reverse_piece, run_cli, short_note_piece)
 
 
 def passed(num: int, text: str) -> None:
     print(f"[PASS] criterion {num}: {text}")
-
-
-def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "arcform", *map(str, args)],
-        capture_output=True, text=True, cwd=PKG_ROOT)
-
-
-def melody(pitches, durations=None, start=0):
-    durations = durations or [1] * len(pitches)
-    events = []
-    onset = Fraction(start)
-    for pitch, dur in zip(pitches, durations):
-        events.append(NoteEvent(onset, Fraction(dur), pitch, 64, 0))
-        onset += Fraction(dur)
-    return Part(voice=0, events=tuple(events))
 
 
 # --- 1. grammar oracle equivalence ------------------------------------------
@@ -182,48 +160,10 @@ def test_criterion_7_similarity_metric_properties():
 
 # --- 8. climax statistics --------------------------------------------------------
 
-def _random_piece(rng):
-    events = []
-    onset = Fraction(0)
-    for _ in range(rng.randint(1, 25)):
-        onset += Fraction(rng.randint(0, 4), rng.choice([1, 2, 4]))
-        dur = Fraction(rng.randint(1, 8), rng.choice([1, 2, 4]))
-        events.append(NoteEvent(onset, dur, rng.randint(30, 100),
-                                rng.randint(1, 127), 0))
-    return Piece(parts=(Part(0, tuple(events)),))
-
-
-def _staccato_piece(rng):
-    events = []
-    onset = Fraction(0)
-    for _ in range(rng.randint(8, 40)):
-        events.append(NoteEvent(onset, Fraction(1, 8), rng.randint(30, 100),
-                                rng.randint(1, 127), 0))
-        onset += rng.choice([Fraction(1), Fraction(1), Fraction(2)])
-    return Piece(parts=(Part(0, tuple(events)),))
-
-
-def _reverse(piece):
-    total = piece.beats_total
-    return Piece(parts=tuple(
-        Part(p.voice, tuple(NoteEvent(total - e.end, e.duration, e.pitch,
-                                      e.velocity, e.voice)
-                            for e in p.events))
-        for p in piece.parts))
-
-
-def _peak_margin(curve):
-    values = [s for _, s in curve]
-    top = max(values)
-    i = values.index(top)
-    rest = [v for j, v in enumerate(values) if abs(j - i) > 1]
-    return top - max(rest) if rest else top
-
-
 def test_criterion_8_climax_statistics(fixtures_dir):
     rng = random.Random(20260823)
     for _ in range(1000):
-        profile = climax_profile(_random_piece(rng))
+        profile = climax_profile(random_piece(rng, 25))
         assert 0.0 <= profile.normalized_position <= 1.0
         assert -1.0 <= profile.asymmetry_index <= 1.0
 
@@ -233,11 +173,11 @@ def test_criterion_8_climax_statistics(fixtures_dir):
     window = Fraction(4)
     checked = 0
     for _ in range(300):
-        piece = _staccato_piece(rng)
+        piece = short_note_piece(rng)
         fwd = climax_profile(piece, window=window)
-        if _peak_margin(fwd.curve) < 0.05:
+        if peak_margin(fwd.curve) < 0.05:
             continue
-        rev = climax_profile(_reverse(piece), window=window)
+        rev = climax_profile(reverse_piece(piece), window=window)
         grid_step = float((window / 2) / piece.beats_total)
         assert abs(fwd.asymmetry_index + rev.asymmetry_index) \
             <= 2 * grid_step + 1e-9

@@ -3,21 +3,12 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
 from arcform.cli import main
 from arcform.config import AnalysisConfig, read_settings
-from oracles import midi_file
-
-PKG_ROOT = Path(__file__).resolve().parent.parent
-
-
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "arcform", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd or PKG_ROOT)
+from oracles import PKG_ROOT, midi_file, run_cli
 
 
 # --- analyze --------------------------------------------------------------------

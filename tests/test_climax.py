@@ -11,35 +11,14 @@ from arcform import climax
 from arcform.climax import Curve, climax_profile, locate_climax, salience_curve
 from arcform.report import curve_csv, render_json
 from oracles import (oracle_locate_climax, oracle_render_json,
-                     oracle_salience_curve)
+                     oracle_salience_curve, peak_margin, random_piece,
+                     reverse_piece, short_note_piece)
 
 
 def mono_piece(pitches, dur=1, velocity=64):
     events = tuple(NoteEvent(Fraction(i) * dur, Fraction(dur), p, velocity)
                    for i, p in enumerate(pitches))
     return Piece(parts=(Part(0, events),))
-
-
-def random_piece(rng, max_events=30):
-    n = rng.randint(1, max_events)
-    events = []
-    onset = Fraction(0)
-    for _ in range(n):
-        onset += Fraction(rng.randint(0, 4), rng.choice([1, 2, 4]))
-        dur = Fraction(rng.randint(1, 8), rng.choice([1, 2, 4]))
-        events.append(NoteEvent(onset, dur, rng.randint(30, 100),
-                                rng.randint(1, 127), 0))
-    return Piece(parts=(Part(0, tuple(events)),))
-
-
-def reverse_piece(piece):
-    total = piece.beats_total
-    parts = []
-    for part in piece.parts:
-        events = tuple(NoteEvent(total - e.end, e.duration, e.pitch,
-                                 e.velocity, e.voice) for e in part.events)
-        parts.append(Part(part.voice, events))
-    return Piece(parts=tuple(parts), key=piece.key, title=piece.title)
 
 
 # --- salience_curve -----------------------------------------------------------
@@ -336,28 +315,6 @@ def test_velocity_scaling_preserves_argmax():
             for p in piece.parts))
         assert climax_profile(piece).peak_time == \
             climax_profile(doubled).peak_time
-
-
-def short_note_piece(rng, max_events=40):
-    """Random monophonic pieces with very short notes, so the onset
-    pattern of the reversed piece is (nearly) the mirrored original."""
-    n = rng.randint(8, max_events)
-    events = []
-    onset = Fraction(0)
-    for _ in range(n):
-        events.append(NoteEvent(onset, Fraction(1, 8), rng.randint(30, 100),
-                                rng.randint(1, 127), 0))
-        onset += rng.choice([Fraction(1), Fraction(1), Fraction(2)])
-    return Piece(parts=(Part(0, tuple(events)),))
-
-
-def peak_margin(curve):
-    """Gap between the curve maximum and the best non-adjacent sample."""
-    values = [s for _, s in curve]
-    top = max(values)
-    i = values.index(top)
-    rest = [v for j, v in enumerate(values) if abs(j - i) > 1]
-    return top - max(rest) if rest else top
 
 
 def test_time_reversal_negates_asymmetry():

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -78,6 +77,7 @@ def test_depth_is_not_part_of_equality_or_repr():
 
 
 def test_trees_at_the_depth_bound_work_everywhere():
+    assert MAX_TREE_DEPTH == 64
     text = nested_text(MAX_TREE_DEPTH)
     tree = parse_tree(text)
     assert tree.depth == MAX_TREE_DEPTH
@@ -128,6 +128,8 @@ def test_left_replicate_bad_path():
         left_replicate(AB, (0,))  # leaf
     with pytest.raises(GrammarError):
         left_replicate(AB, (5,))
+    with pytest.raises(GrammarError):
+        left_replicate(AB, (2,))  # one past the last child
 
 
 def test_generalized_child_replication():
@@ -259,12 +261,15 @@ def test_recognize_rejects_bad_form():
         recognize("", AB)
     with pytest.raises(GrammarError):
         recognize("a1b", AB)
+    with pytest.raises(GrammarError):
+        recognize("A1", AB)  # upper case, but not all letters
 
 
 def test_recognize_step_bound():
     with pytest.raises(GrammarError, match="bound"):
         recognize("A" * 40 + "B", AB)
     assert recognize("A" * 33 + "B", AB, max_steps=64) == 32
+    assert recognize("A" * 33 + "B", AB) == 32  # exactly at the bound
 
 
 def test_recognize_long_form_hits_bound_without_recursion():
@@ -307,6 +312,8 @@ def test_predicted_position_rejects_bad_lengths():
     with pytest.raises(GrammarError):
         predicted_climax_position(1, (0, 1))
     with pytest.raises(GrammarError):
+        predicted_climax_position(1, (1, 0))
+    with pytest.raises(GrammarError):
         predicted_climax_position(0, (1, 1))
 
 
@@ -314,6 +321,8 @@ def test_predicted_position_rejects_bad_lengths():
 
 def test_sentence_exact_1_1_2():
     assert sentence_check((2, 2, 4), 0.0) is True
+    assert sentence_check((1, 1, 2)) is True  # the default tolerance is 0
+    assert sentence_check((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
 
 
 def test_sentence_tolerance_boundary():
@@ -324,6 +333,10 @@ def test_sentence_tolerance_boundary():
 def test_sentence_rejects_non_positive():
     with pytest.raises(GrammarError):
         sentence_check((0, 2, 4))
+    with pytest.raises(GrammarError):
+        sentence_check((2, 0, 4))
+    with pytest.raises(GrammarError):
+        sentence_check((2, 2, 0))
 
 
 # --- sonata alignment -----------------------------------------------------------
@@ -357,5 +370,11 @@ def test_time_reverse(form, expected):
 
 
 def test_time_reverse_empty():
-    with pytest.raises(GrammarError):
+    with pytest.raises(GrammarError, match="empty form"):
         time_reverse("")
+
+
+@pytest.mark.parametrize("form", ["ab", "A1"])
+def test_time_reverse_rejects_malformed_forms(form):
+    with pytest.raises(GrammarError, match="uppercase letters"):
+        time_reverse(form)

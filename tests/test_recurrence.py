@@ -14,20 +14,10 @@ from arcform.recurrence import (_BOUND_BITS, MAJOR_SET, NATURAL_MINOR_SET,
                                 _packed_distances, _read_lanes, _score,
                                 _weight_ticks)
 
-from oracles import (oracle_chromaticism_index, oracle_classify_cadence,
-                     oracle_find_recurrences, oracle_similarity,
-                     oracle_skyline, recursive_edit_distance,
-                     table_edit_distance)
-
-
-def melody(pitches, durations=None, start=0, voice=0):
-    durations = durations or [1] * len(pitches)
-    events = []
-    onset = Fraction(start)
-    for pitch, dur in zip(pitches, durations):
-        events.append(NoteEvent(onset, Fraction(dur), pitch, 64, voice))
-        onset += Fraction(dur)
-    return Part(voice=voice, events=tuple(events))
+from oracles import (melody, oracle_chromaticism_index,
+                     oracle_classify_cadence, oracle_find_recurrences,
+                     oracle_similarity, oracle_skyline,
+                     recursive_edit_distance, table_edit_distance)
 
 
 # --- interval_profile --------------------------------------------------------

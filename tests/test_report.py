@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from arcform import (AnalysisConfig, ClimaxProfile, IntervalProfile,
                      RecurrenceMatch, RecurrenceSeries, climax_profile)
+from arcform import report
 from arcform.cli import load_piece
 from arcform.report import build_report, render_json
 from oracles import oracle_render_json
@@ -136,3 +137,24 @@ def test_render_json_leaves_nothing_for_the_cyclic_collector(fixtures_dir):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_curve_rows_are_written_without_a_call_per_row(fixtures_dir,
+                                                       monkeypatch):
+    profile = climax_profile(load_piece(str(fixtures_dir
+                                            / "passion_chorales.notes")))
+    rows = len(profile.curve)
+    expected = oracle_render_json(profile)
+    calls = 0
+    write = report._write
+
+    def counting_write(value, nl, out):
+        nonlocal calls
+        calls += 1
+        write(value, nl, out)
+
+    monkeypatch.setattr(report, "_write", counting_write)
+    assert render_json(profile) == expected
+    # the profile and its five fields; a row through the generic path
+    # would cost three calls more
+    assert calls < 10 < rows

@@ -1,5 +1,7 @@
 """The value classes' contract: equality, hash, repr, immutability,
-constructor signatures and JSON rendering, pinned for all twelve."""
+constructor signatures and JSON rendering, pinned for the twelve that
+compare by their fields. `Curve`, which compares as the tuple of its
+rows, is pinned in `test_climax.py`."""
 
 import copy
 import importlib
