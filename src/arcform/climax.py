@@ -147,7 +147,9 @@ def salience_curve(piece: Piece,
                    window: Fraction = DEFAULTS.window) -> Curve:
     """Sample salience on a grid of half-window steps over [0, beats_total].
 
-    Windows are centered on the grid points and clipped to the piece.
+    Windows are centered on the grid points and not clipped to the
+    piece: no note sounds or starts outside it, so they hold the clipped
+    windows' masses and onset counts.
     One sweep over the sorted note boundaries and window edges gives
     the exact running integrals at every edge, so a window's pitch,
     velocity and overlap masses and its onset count are differences of
@@ -185,15 +187,9 @@ def salience_curve(piece: Piece,
     total_ticks = last * up
     step = total_ticks // n_steps
     ticks = range(0, total_ticks + 1, step)
-    # Window edges clipped to the piece, as ranges: the first m grid
-    # points lie less than half a window after 0, so their windows start
-    # at 0, and by the grid's symmetry the last m windows end at
-    # total_ticks.
-    m = min(-(-half_ticks // step), n_steps + 1)
-    los = [0] * m + list(range(m * step - half_ticks,
-                               total_ticks - half_ticks + 1, step))
-    his = list(range(half_ticks, total_ticks + half_ticks + 1 - m * step,
-                     step)) + [total_ticks] * m
+    # unclipped: no note sounds or starts outside [0, total_ticks]
+    los = range(-half_ticks, total_ticks - half_ticks + 1, step)
+    his = range(half_ticks, total_ticks + half_ticks + 1, step)
     pitches = piece.column("pitches")
     at = _edge_integrals(pitches, piece.column("velocities"),
                          [t * up for t in onsets], [t * up for t in ends],

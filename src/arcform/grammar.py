@@ -220,19 +220,16 @@ def recognize(form: str, seed: FormTree,
               max_steps: int = MAX_DERIVATION_STEPS) -> int | None:
     """Minimal root-level left-replications taking the seed to the form.
 
-    Returns None when the form is not derivable. Inverse rewriting: strip
-    one duplicated leading segment per step.
+    Returns None when the form is not derivable. k of them make
+    `head * k + base`, where a Leaf seed's head is empty, so k is one
+    length division and the form is checked by one comparison.
     """
     _check_form(form)
     base = flatten(seed)
-    head = flatten(seed.children[0]) if isinstance(seed, Node) else None
-    count = 0
-    rest = form
-    while rest != base:
-        if head is None or not rest.startswith(head):
-            return None
-        rest = rest[len(head):]
-        count += 1
+    head = flatten(seed.children[0]) if isinstance(seed, Node) else ""
+    count, extra = divmod(len(form) - len(base), len(head) or 1)
+    if count < 0 or extra or form != head * count + base:
+        return None
     if count > max_steps:
         raise GrammarError(
             f"derivation needs {count} steps, over the {max_steps}-step bound")
@@ -276,10 +273,8 @@ def recognize_tree(target: FormTree, seed: FormTree,
         frontier = nxt
         if not frontier:
             return None
-    if frontier:
-        raise GrammarError(
-            f"derivation search exceeded the {max_steps}-step bound")
-    return None
+    raise GrammarError(
+        f"derivation search exceeded the {max_steps}-step bound")
 
 
 def predicted_climax_position(n_copies: int,

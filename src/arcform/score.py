@@ -443,12 +443,7 @@ def _raise_first_fault(lines: list[str]) -> None:
                 pitch, velocity, _ = ints[pitch], ints[velocity], ints[voice]
             except (ValueError, ZeroDivisionError) as exc:
                 raise NotesParseError("non-numeric field", lineno) from exc
-            onset, duration = signs[on], signs[dur]
-            # `_check_note`'s ranges, tested inline; it is called only to
-            # name the fault
-            if (duration <= 0 or onset < 0 or not 0 <= pitch <= 127
-                    or not 1 <= velocity <= 127):
-                _check_note(onset, duration, pitch, velocity)
+            _check_note(signs[on], signs[dur], pitch, velocity)
         except ValueError as exc:  # from `_note_fields` or `_check_note`
             raise NotesParseError(str(exc), lineno) from exc
     raise AssertionError("the .notes lines hold no fault")

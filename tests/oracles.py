@@ -2,18 +2,20 @@
 
 Deliberately written with different algorithms than the implementations
 they verify: plain recursion and a Wagner–Fischer table instead of the
-bit-vector edit distance, string rewriting instead of tree rewriting, a
-per-window sum over every event instead of prefix integrals, a climax
-found by comparing times instead of by its index, a scan of every event
-at every boundary instead of a heap sweep, every recurrence window
-scored from scratch instead of one pass per window start, a MIDI reader
-that builds each note's `Fraction`s as it closes, a recursive-descent
-tree parser instead of an explicit stack, a from-scratch MIDI byte
-writer, tonal analyses that read each note as a `NoteEvent` with
-`Fraction` times instead of the integer columns, a `.notes` reader that
-checks each note through one call and grows the tick scale at every new
-token, and the report text from the standard library's JSON encoder
-over `jsonable`'s plain values instead of the one-pass writer.
+bit-vector edit distance, string rewriting instead of tree rewriting,
+recognition that strips one copy of the head per step instead of one
+length division, a per-window sum over every clipped window instead of
+prefix integrals, a climax found by comparing times instead of by its
+index, a scan of every event at every boundary instead of a heap sweep,
+every recurrence window scored from scratch instead of one pass per
+window start, a MIDI reader that builds each note's `Fraction`s as it
+closes, a recursive-descent tree parser instead of an explicit stack, a
+from-scratch MIDI byte writer, tonal analyses that read each note as a
+`NoteEvent` with `Fraction` times instead of the integer columns, a
+`.notes` reader that checks each note through one call and grows the
+tick scale at every new token, and the report text from the standard
+library's JSON encoder over `jsonable`'s plain values instead of the
+one-pass writer.
 
 It also holds the test-input builders more than one test file uses: a
 MIDI byte writer, melodies and random pieces, and a CLI runner.
@@ -22,6 +24,7 @@ MIDI byte writer, melodies and random pieces, and a CLI runner.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -35,7 +38,7 @@ from typing import Optional, Sequence, Set, Tuple
 
 from arcform.climax import Curve
 from arcform.errors import AnalysisError, GrammarError, NotesParseError
-from arcform.grammar import FormTree, Leaf, Node
+from arcform.grammar import FormTree, Leaf, Node, flatten
 from arcform.recurrence import (IntervalProfile, RecurrenceMatch,
                                 RecurrenceSeries, diatonic_set)
 from arcform.report import PRECISION
@@ -103,6 +106,25 @@ def right_language(seed: str, depth: int) -> Set[str]:
         frontier = {s + s[-1] for s in frontier} - seen
         seen |= frontier
     return seen
+
+
+def oracle_recognize(form: str, seed: FormTree,
+                     max_steps: int) -> Optional[int]:
+    """Root-level left-replications by inverse rewriting: strip one
+    copy of the seed's first child per step until the seed is left."""
+    base = flatten(seed)
+    head = flatten(seed.children[0]) if isinstance(seed, Node) else None
+    count = 0
+    rest = form
+    while rest != base:
+        if head is None or not rest.startswith(head):
+            return None
+        rest = rest[len(head):]
+        count += 1
+    if count > max_steps:
+        raise GrammarError(
+            f"derivation needs {count} steps, over the {max_steps}-step bound")
+    return count
 
 
 def oracle_parse_tree(text: str) -> FormTree:
@@ -587,7 +609,10 @@ def peak_margin(curve):
     return top - max(rest) if rest else top
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
+    """`python -m arcform` with `env`'s variables set over this
+    process's."""
     return subprocess.run(
         [sys.executable, "-m", "arcform", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd or PKG_ROOT)
+        capture_output=True, text=True, cwd=cwd or PKG_ROOT,
+        env=env and {**os.environ, **env})

@@ -110,6 +110,8 @@ windows = st.one_of(st.builds(Fraction, st.integers(1, 40), denominators),
 @settings(max_examples=300, deadline=None)
 @given(multi_voice_pieces(), weights_choices, windows)
 @example(mono_piece([60]), (0.4, 0.3, 0.3), Fraction(4))  # single note
+# both grid points' windows cover the whole one-beat piece
+@example(mono_piece([60]), (0.4, 0.3, 0.3), Fraction(8))
 @example(mono_piece([60, 72, 48]), (0.4, 0.3, 0.3), Fraction(50))  # wide
 @example(mono_piece([64, 64, 64]), (0.4, 0.3, 0.3), Fraction(3, 2))  # pmin == pmax
 @example(Piece(parts=(Part(0, (NoteEvent(Fraction(9), Fraction(1, 3), 0, 1),
@@ -125,8 +127,11 @@ windows = st.one_of(st.builds(Fraction, st.integers(1, 40), denominators),
                                          40, 1),)))),
          (0.2, 0.5, 0.3), Fraction(3, 4))
 def test_salience_curve_matches_direct_definition(piece, weights, window):
-    assert salience_curve(piece, weights, window) == \
-        oracle_salience_curve(piece, weights, window)
+    curve = salience_curve(piece, weights, window)
+    expected = oracle_salience_curve(piece, weights, window)
+    assert curve == expected
+    # the rows zip the two columns, so check that neither is longer
+    assert len(curve.ticks) == len(curve.saliences) == len(expected)
 
 
 # --- the Curve -----------------------------------------------------------------
@@ -276,6 +281,7 @@ def increasing_curves(draw):
 @example(((Fraction(0), 0.2), (Fraction(1, 3), 0.9), (Fraction(1), 0.1),
           (Fraction(3, 2), 0.9)))
 @example(((Fraction(0), 0.5),))
+@example(())
 def test_locate_climax_matches_time_comparisons(curve):
     try:
         expected = oracle_locate_climax(curve)

@@ -10,8 +10,9 @@ overlapping windows pass and the overlap resolution picks among them.
 `--form` (derivable and not), `climax` JSON, `corpus` over both corpus
 directories and the `form` subcommands' `--json` output. Seeded Standard
 MIDI Files, written at test time, pin `import_midi` through `analyze`
-and `corpus`. After an intended change of output, re-record the files
-with
+and `corpus`. One `EXTRA_CASES` run in subprocesses under two fixed
+`PYTHONHASHSEED` values pins that no output depends on string hashing.
+After an intended change of output, re-record the files with
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -32,7 +33,7 @@ import pytest
 from arcform import NoteEvent, Part, Piece, serialize_text
 from arcform.cli import main
 
-from oracles import midi_file
+from oracles import midi_file, run_cli
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
@@ -233,6 +234,15 @@ def test_golden_set_is_complete(rendered):
 @pytest.mark.parametrize("stem", [stem for stem, _, _ in _cases()])
 def test_output_matches_golden_bytes(rendered, stem):
     assert rendered[stem] == (GOLDEN / stem).read_bytes()
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_output_does_not_depend_on_the_hash_seed(hash_seed):
+    stem, _, args = EXTRA_CASES[0]
+    res = run_cli(*args, cwd=FIXTURES, env={
+        "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(HERE.parent / "src")})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.encode() == (GOLDEN / stem).read_bytes()
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from arcform import (Derivation, GrammarError, Leaf, Node, flatten, generate,
 from arcform.grammar import (MAX_DERIVATION_STEPS, MAX_TREE_DEPTH,
                              derivations, node_paths, replay)
 
-from oracles import left_language, oracle_parse_tree, right_language
+from oracles import (left_language, oracle_parse_tree, oracle_recognize,
+                     right_language)
 
 AB = parse_form("AB")
 ABA = parse_form("ABA")
@@ -23,10 +25,10 @@ def nested_text(depth: int) -> str:
     return "(" * depth + "A B" + " B)" * depth
 
 
-def parse_outcome(parse, text):
-    """The parsed tree, or the GrammarError message."""
+def outcome(call, *args):
+    """The call's result, or the GrammarError message."""
     try:
-        return parse(text)
+        return call(*args)
     except GrammarError as exc:
         return str(exc)
 
@@ -64,8 +66,7 @@ tree_texts = st.recursive(
 @example(") A")
 @example("")
 def test_parse_tree_agrees_with_recursive_oracle(text):
-    assert parse_outcome(parse_tree, text) == parse_outcome(oracle_parse_tree,
-                                                            text)
+    assert outcome(parse_tree, text) == outcome(oracle_parse_tree, text)
 
 
 def test_depth_is_not_part_of_equality_or_repr():
@@ -230,6 +231,12 @@ def test_recognize_tree_not_derivable():
     assert recognize_tree(parse_form("ABB"), AB) is None
 
 
+def test_recognize_tree_step_bound():
+    with pytest.raises(GrammarError,
+                       match="^derivation search exceeded the 1-step bound$"):
+        recognize_tree(parse_form("AAAB"), AB, max_steps=1)
+
+
 def test_generate_recognize_consistency():
     for k in range(4):
         for tree in generate(ABA, k):
@@ -276,6 +283,47 @@ def test_recognize_long_form_hits_bound_without_recursion():
     with pytest.raises(GrammarError, match="needs 2999 steps, over the 32"):
         recognize("A" * 3000 + "B", AB)
     assert recognize("A" * 3000 + "C", AB) is None
+
+
+def test_recognize_million_letter_form_in_linear_time():
+    start = time.perf_counter()
+    with pytest.raises(GrammarError, match="needs 999999 steps, over the 32"):
+        recognize("A" * 10**6 + "B", AB)
+    assert time.perf_counter() - start < 1.0
+
+
+@st.composite
+def seeds_and_forms(draw):
+    """A seed, and `head * k + base` for it as is, truncated, extended
+    or with one letter changed; a Leaf seed's head is empty."""
+    seed = draw(st.one_of(st.sampled_from("AB").map(Leaf),
+                          st.text("ABC", min_size=2, max_size=4).map(parse_form),
+                          tree_texts.map(parse_tree)))
+    head = flatten(seed.children[0]) if isinstance(seed, Node) else ""
+    form = head * draw(st.integers(0, 40)) + flatten(seed)
+    edit = draw(st.sampled_from(["none", "truncate", "extend", "change"]))
+    at = draw(st.integers(0, len(form) - 1))
+    if edit == "truncate" and len(form) > 1:
+        form = form[:max(at, 1)]
+    elif edit == "extend":
+        form = form[:at] + draw(st.text("ABC", min_size=1, max_size=3)) + form[at:]
+    elif edit == "change":
+        form = form[:at] + "ABCD".replace(form[at], "")[0] + form[at + 1:]
+    return form, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds_and_forms(), st.integers(0, 40))
+@example(("AAAAB", AB), MAX_DERIVATION_STEPS)
+@example(("A", Leaf("A")), 0)
+@example(("AA", Leaf("A")), 0)
+@example(("ABABC", parse_tree("((A B) C)")), 1)
+@example(("ABABABC", parse_tree("((A B) C)")), 1)
+@example(("ABAC", parse_tree("((A B) C)")), 1)
+def test_recognize_agrees_with_strip_oracle(form_and_seed, max_steps):
+    form, seed = form_and_seed
+    assert outcome(recognize, form, seed, max_steps) == \
+        outcome(oracle_recognize, form, seed, max_steps)
 
 
 @given(st.integers(0, 6))
@@ -328,6 +376,11 @@ def test_sentence_exact_1_1_2():
 def test_sentence_tolerance_boundary():
     assert sentence_check((2, 2, 5), 0.1) is False
     assert sentence_check((2, 2, 5), 0.3) is True
+
+
+def test_sentence_rejects_negative_tolerance():
+    with pytest.raises(GrammarError, match="^tolerance must be nonnegative$"):
+        sentence_check((1, 1, 2), tolerance=-0.5)
 
 
 def test_sentence_rejects_non_positive():

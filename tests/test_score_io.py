@@ -610,6 +610,11 @@ def test_midi_smpte_division_rejected():
         import_midi(data)
 
 
+def test_midi_zero_division_rejected():
+    with pytest.raises(MidiError, match="^zero time division$"):
+        import_midi(midi_file([[]], division=0))
+
+
 # --- skyline ---------------------------------------------------------------
 
 def test_skyline_identity_on_monophonic_part():
