@@ -7,11 +7,10 @@ import functools
 import os
 import sys
 import warnings
-from fractions import Fraction
 
 from . import __version__
 from .climax import climax_profile
-from .config import AnalysisConfig, parse_setting, read_settings
+from .config import AnalysisConfig, parse_setting, read_settings, read_text
 from .errors import AnalysisError, ArcformError, ScoreFormatError
 from .grammar import (flatten, generate, parse_form, predicted_climax_position,
                       recognize)
@@ -35,13 +34,7 @@ def _suffix(path: str) -> str:
 def load_piece(path: str) -> Piece:
     suffix = _suffix(path)
     if suffix == ".notes":
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise ScoreFormatError(f"{path}: not UTF-8 text") from exc
-        # one byte-order mark, as some editors write, is not the text
-        return parse_text(text.removeprefix("\ufeff"))
+        return parse_text(read_text(path, ScoreFormatError))
     if suffix in (".mid", ".midi"):
         with open(path, "rb") as handle:
             data = handle.read()
@@ -127,7 +120,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             # A and B at unit length: the grammar's prediction, not a
             # measurement of the piece's sections
             form["predicted_climax_position"] = float(
-                predicted_climax_position(steps + 1, (Fraction(1), Fraction(1))))
+                predicted_climax_position(steps + 1, (1, 1)))
             form["measured_climax_position"] = climax.normalized_position
     report = build_report(piece, args.input, config, __version__, **sections)
     _emit(render_json(report), args.out)

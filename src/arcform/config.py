@@ -11,7 +11,7 @@ from .errors import AnalysisError, ArcformError
 from .value import Value
 
 __all__ = ["AnalysisConfig", "DEFAULTS", "check_threshold", "check_weights",
-           "check_window", "parse_setting", "read_settings"]
+           "check_window", "parse_setting", "read_settings", "read_text"]
 
 
 def check_weights(weights: Sequence[float], count: int) -> None:
@@ -89,34 +89,37 @@ class AnalysisConfig(Value):
 
 DEFAULTS = AnalysisConfig()
 
-_FLOAT_KEYS = {"w_pitch", "w_density", "w_velocity",
-               "sim_pitch", "sim_rhythm", "threshold"}
-
 
 def parse_setting(key: str, value: str, where: str) -> object:
     """Parse one setting from text, for a config file line or a flag.
 
     Raises ArcformError naming `where` (e.g. "a.cfg:3" or "--window")
     for an unknown key or a value that does not parse. A window is an
-    integer, decimal or fraction without an exponent.
+    integer, decimal or fraction without an exponent, any other key a float.
     """
     try:
         if key == "window":
             return _fraction(value)
-        if key in _FLOAT_KEYS:
+        if key in AnalysisConfig._fields:
             return float(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ArcformError(f"{where}: bad value for {key}") from exc
     raise ArcformError(f"{where}: unknown key {key!r}")
 
 
-def read_settings(path: str) -> dict[str, object]:
-    """The parsed settings of a key=value config file; a later line wins."""
+def read_text(path: str, error: type[ArcformError] = ArcformError) -> str:
+    """The text of a UTF-8 file without one leading byte-order mark, as
+    some editors write. Raises `error` if the file is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as handle:
-            lines = handle.read().removeprefix("\ufeff").splitlines()
+            return handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise ArcformError(f"{path}: not UTF-8 text") from exc
+        raise error(f"{path}: not UTF-8 text") from exc
+
+
+def read_settings(path: str) -> dict[str, object]:
+    """The parsed settings of a key=value config file; a later line wins."""
+    lines = read_text(path).splitlines()
     settings: dict[str, object] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

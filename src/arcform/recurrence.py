@@ -386,30 +386,19 @@ def chromaticism_index(segment: Part, key: tuple[int, str] | None) -> Fraction:
     return Fraction(outside, len(segment))
 
 
-NATURAL_MINOR_SET = frozenset({0, 2, 3, 5, 7, 8, 10})
-
-
 def estimate_key(piece: Piece) -> tuple[int, str]:
-    """Best of 24 keys by duration-weighted pitch-class overlap.
-
-    Minor candidates are scored on the natural-minor set (7 pitch
-    classes, same size as major) so relative keys tie instead of minor
-    always winning; ties prefer major over minor, then the lower tonic
-    pitch class. Mode outranks tonic so the result is transposition
-    covariant.
-    """
+    """Best of the 12 major keys by duration-weighted pitch-class overlap,
+    ties going to the lower tonic. A minor-mode piece reads as its
+    relative major, whose pitch classes its natural minor shares."""
     _, onsets, ends = piece.timeline
     if not onsets:
         raise AnalysisError("empty piece")
     mass = [0] * 12  # in the piece's ticks, so equal masses tie exactly
     for pitch, onset, end in zip(piece.column("pitches"), onsets, ends):
         mass[pitch % 12] += end - onset
-    # "major" < "minor", so a tie goes to major, then the lower tonic
-    _, mode, tonic = min(
-        (-sum(mass[(pc + tonic) % 12] for pc in base), mode, tonic)
-        for mode, base in (("major", MAJOR_SET), ("minor", NATURAL_MINOR_SET))
-        for tonic in range(12))
-    return tonic, mode
+    _, tonic = min((-sum(mass[(pc + tonic) % 12] for pc in MAJOR_SET), tonic)
+                   for tonic in range(12))
+    return tonic, "major"
 
 
 def classify_cadence(piece: Piece,

@@ -168,5 +168,5 @@ def _write_object(fields: dict[str, object], nl: str,
 def curve_csv(profile: ClimaxProfile) -> str:
     lines = ["time,salience"]
     for t, s in profile.curve:
-        lines.append(f"{t},{round(s, PRECISION):.6f}")
+        lines.append(f"{t},{s:.6f}")
     return "\n".join(lines) + "\n"

@@ -574,8 +574,6 @@ def import_midi(data: bytes) -> Piece:
     pos = 8 + header_len
     parts: list[Part] = []
     while len(parts) < ntrks:  # an alien chunk is skipped as if absent
-        if pos + 8 > len(data):
-            raise MidiError("truncated chunk")
         magic = data[pos:pos + 4]
         length = int.from_bytes(data[pos + 4:pos + 8], "big")
         if pos + 8 + length > len(data):

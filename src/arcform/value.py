@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import attrgetter
 
 __all__ = ["Value"]
@@ -40,6 +41,12 @@ class Value:
         fields = ", ".join([f"{name}={getattr(self, name)!r}"
                             for name in self._fields])
         return f"{self.__class__.__qualname__}({fields})"
+
+    def __getstate__(self) -> dict[str, object]:
+        # a copy or a pickle carries what was stored, not what was cached
+        cls = type(self)
+        return {name: value for name, value in vars(self).items()
+                if not isinstance(getattr(cls, name, None), cached_property)}
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -539,16 +539,20 @@ def varlen(value: int) -> bytes:
 
 
 def midi_file(tracks, division: int = 480, fmt: int = 1,
-              alien_before: Sequence[int] = ()) -> bytes:
-    """tracks: list of event lists [(delta_ticks, message_bytes), ...].
-    An alien chunk precedes track i for each i in `alien_before`; i =
-    len(tracks) puts one after the last track."""
+              alien_before: Sequence[int] = (),
+              end_of_track: bool = True) -> bytes:
+    """tracks: list of event lists [(delta_ticks, message_bytes), ...];
+    a delta given as bytes is written as they are. An alien chunk
+    precedes track i for each i in `alien_before`; i = len(tracks) puts
+    one after the last track. Each track ends in an end-of-track meta
+    event unless `end_of_track` is false."""
     alien = struct.pack(">4sI", b"XFIH", 5) + b"alien"
     data = struct.pack(">4sIHHH", b"MThd", 6, fmt, len(tracks), division)
     for index, events in enumerate(tracks):
         data += alien * (index in alien_before)
-        body = b"".join(varlen(delta) + bytes(msg) for delta, msg in events)
-        body += varlen(0) + bytes([0xFF, 0x2F, 0x00])  # end of track
+        body = b"".join((delta if isinstance(delta, bytes) else varlen(delta))
+                        + bytes(msg) for delta, msg in events)
+        body += (varlen(0) + bytes([0xFF, 0x2F, 0x00])) * end_of_track
         data += struct.pack(">4sI", b"MTrk", len(body)) + body
     return data + alien * (len(tracks) in alien_before)
 

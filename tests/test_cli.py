@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from arcform.cli import main
+from arcform.cli import _suffix, main
 from arcform.config import AnalysisConfig, read_settings
 from oracles import PKG_ROOT, midi_file, run_cli
 
@@ -455,6 +455,11 @@ def test_form_generate():
     assert res.stdout.strip() == "AB AAB AAAB"
 
 
+def test_form_generate_takes_one_step_by_default(capsys):
+    assert main(["form", "generate"]) == 0
+    assert capsys.readouterr().out == "AB AAB\n"
+
+
 def test_form_generate_step_bound(capsys):
     assert main(["form", "generate", "--steps", "32"]) == 0
     strings = capsys.readouterr().out.split()
@@ -543,6 +548,25 @@ def test_corpus_names_each_file_of_a_midi_repair_warning(tmp_path):
     assert res.stderr.splitlines() == [
         f"warning: {tmp_path / name}: unmatched note-on (pitch 60) closed "
         f"at track end" for name in ("a.mid", "b.mid")]
+
+
+@pytest.mark.parametrize("path,suffix", [
+    (".notes", ""), ("a.", ""), ("..notes", ".notes"), ("x.N", ".n"),
+    ("x.MID", ".mid"), ("d.notes/x", ""), ("x.notes/", ".notes"),
+])
+def test_suffix_is_read_from_the_last_dot_of_the_last_name(path, suffix):
+    assert _suffix(path) == suffix
+
+
+def test_corpus_does_not_read_a_file_named_only_by_its_suffix(
+        fixtures_dir, tmp_path, capsys):
+    for path in (fixtures_dir / "corpus").iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    (tmp_path / ".notes").write_text("0 1 60\n", encoding="utf-8")
+    assert main(["corpus", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == run_cli("corpus", fixtures_dir / "corpus").stdout
+    assert err == ""
 
 
 def test_corpus_empty_directory_exit_2(tmp_path):

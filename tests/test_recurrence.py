@@ -2,17 +2,16 @@ from fractions import Fraction
 from itertools import compress
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from arcform import (AnalysisError, NoteEvent, Part, Piece,
                      chromaticism_index, classify_cadence, climax_profile,
                      estimate_key, find_recurrences, interval_profile,
                      parse_text, similarity, skyline)
 from arcform.config import DEFAULTS
-from arcform.recurrence import (_BOUND_BITS, MAJOR_SET, NATURAL_MINOR_SET,
-                                IntervalProfile, _joint_cut, _lane_width,
-                                _packed_distances, _read_lanes, _score,
-                                _weight_ticks)
+from arcform.recurrence import (_BOUND_BITS, IntervalProfile, _joint_cut,
+                                _lane_width, _packed_distances, _read_lanes,
+                                _score, _weight_ticks)
 
 from oracles import (melody, oracle_chromaticism_index,
                      oracle_classify_cadence, oracle_find_recurrences,
@@ -572,6 +571,11 @@ def test_chromaticism_minor_admits_raised_seventh():
     assert chromaticism_index(seg, (9, "minor")) == 0
 
 
+def test_chromaticism_minor_admits_both_sevenths():
+    seg = melody([57, 59, 60, 62, 64, 65, 67, 68, 69, 70])  # G, G#; B-flat
+    assert chromaticism_index(seg, (9, "minor")) == Fraction(1, 10)
+
+
 def test_chromaticism_requires_key():
     with pytest.raises(AnalysisError, match="estimate_key"):
         chromaticism_index(melody([60]), None)
@@ -634,7 +638,8 @@ def brute_force_key(piece):
     scored = []
     for tonic in range(12):
         for mode in ("major", "minor"):
-            base = MAJOR_SET if mode == "major" else NATURAL_MINOR_SET
+            base = ({0, 2, 4, 5, 7, 9, 11} if mode == "major"
+                    else {0, 2, 3, 5, 7, 8, 10})
             scale = {(pc + tonic) % 12 for pc in base}
             overlap = sum((d for pc, d in mass.items() if pc in scale),
                           Fraction(0))
@@ -659,6 +664,29 @@ def test_estimate_key_tie_break_on_natural_minor_scale():
     piece = Piece(parts=(melody([57, 59, 60, 62, 64, 65, 67]),))
     assert estimate_key(piece) == brute_force_key(piece)
     assert estimate_key(piece) == (0, "major")
+
+
+def test_estimate_key_reads_a_minor_melody_as_its_relative_major():
+    # A natural minor, most of its duration on A and E
+    pitches = [57, 59, 60, 62, 64, 65, 67, 69, 64, 57]
+    piece = Piece(parts=(melody(pitches, [4, 1, 1, 1, 4, 1, 1, 4, 4, 4]),))
+    assert estimate_key(piece) == brute_force_key(piece) == (0, "major")
+
+
+@given(st.lists(st.tuples(st.integers(36, 84), st.integers(1, 4)),
+                min_size=1, max_size=16), st.integers(-24, 24))
+def test_estimate_key_moves_with_a_transposition(notes, shift):
+    pitches, durations = zip(*notes)
+    mass = [0] * 12
+    for pitch, duration in notes:
+        mass[pitch % 12] += duration
+    major = (0, 2, 4, 5, 7, 9, 11)
+    scores = sorted(sum(mass[(pc + tonic) % 12] for pc in major)
+                    for tonic in range(12))
+    assume(scores[-1] > scores[-2])  # one best major key
+    tonic, mode = estimate_key(Piece(parts=(melody(pitches, durations),)))
+    moved = melody([pitch + shift for pitch in pitches], durations)
+    assert estimate_key(Piece(parts=(moved,))) == ((tonic + shift) % 12, mode)
 
 
 @st.composite

@@ -12,7 +12,7 @@ from arcform import (AnalysisError, MidiError, NoteEvent, NotesParseError,
 from arcform import score
 from arcform.score import MAX_SCALE_BITS
 
-from oracles import midi_file, oracle_import_midi, oracle_parse_text
+from oracles import midi_file, oracle_import_midi, oracle_parse_text, varlen
 
 
 # --- text format ------------------------------------------------------------
@@ -371,6 +371,11 @@ def test_part_from_columns_equals_part_from_events():
         events[1], events[3], events[0], events[2])
 
 
+def test_part_sorts_notes_out_of_order_only_in_the_last_pair():
+    events = (NoteEvent(0, 1, 60), NoteEvent(1, 1, 62), NoteEvent(1, 1, 61))
+    assert Part(0, events).pitches == (60, 61, 62)
+
+
 def test_beats_total_is_max_event_end():
     piece = parse_text("0 1 60\n2 3/2 64\n")
     assert piece.beats_total == Fraction(7, 2)
@@ -449,6 +454,30 @@ def test_midi_velocity_zero_is_note_off():
     data = midi_file([[(0, [0x90, 64, 70]), (240, [0x90, 64, 0])]])
     (part,) = import_midi(data).parts
     assert part.events[0].duration == Fraction(1, 2)
+
+
+def test_midi_velocity_zero_closes_the_note_before_track_end():
+    data = midi_file([[(0, [0x90, 64, 70]), (240, [0x90, 64, 0]),
+                       (240, [0xB0, 7, 100])]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (part,) = import_midi(data).parts
+    assert [e.duration for e in part.events] == [Fraction(1, 2)]
+
+
+def test_midi_overlapping_notes_of_one_key_close_oldest_first():
+    data = midi_file([[(0, [0x90, 60, 70]), (480, [0x90, 60, 90]),
+                       (480, [0x80, 60, 0]), (480, [0x80, 60, 0])]])
+    (part,) = import_midi(data).parts
+    assert [(e.onset, e.duration, e.velocity) for e in part.events] == [
+        (0, 2, 70), (1, 2, 90)]
+
+
+def test_midi_repair_warning_names_the_caller_of_import_midi():
+    data = midi_file([[(0, [0x90, 60, 70])]])
+    with pytest.warns(UserWarning, match="unmatched note-on") as record:
+        import_midi(data)
+    assert record[0].filename == __file__
 
 
 def test_midi_running_status():
@@ -556,36 +585,51 @@ def smf_files(draw):
     """Well-formed SMFs dense in what the reader must order right: a few
     channels and pitches, so notes of one (channel, pitch) overlap and
     several notes share an onset and a pitch; velocity-0 note-offs,
-    running status, meta and sysex events, unmatched note-ons, messages
-    of one data byte (0xC0, 0xD0) and of two that are not notes (0xB0),
-    and alien chunks between the tracks."""
+    running status, meta and sysex events, 0xF7 escapes, unmatched
+    note-ons, messages of one data byte (0xC0, 0xD0) and of two that are
+    not notes (0xB0, and the system statuses that both readers take with
+    two data bytes), deltas written with leading 0x80 bytes, alien chunks
+    between the tracks, and tracks with no end-of-track event, each of
+    which then ends on a note-off."""
     division = draw(st.sampled_from([1, 3, 96, 480, 1000]))
     fmt = draw(st.sampled_from([0, 1]))
     messages = st.tuples(st.just(0) | st.integers(0, 3 * division),
                          st.sampled_from([0x80, 0x90, 0x90, 0x80, 0x90,
                                           0x90, 0xB0, 0xC0, 0xD0, 0xF0,
-                                          0xFF]),
+                                          0xF1, 0xF7, 0xFF]),
                          st.integers(0, 2), st.integers(58, 62),
-                         st.integers(0, 127), st.booleans())
+                         st.integers(0, 127), st.booleans(),
+                         st.sampled_from([0, 0, 1, 2, 3]))
+    system = st.sampled_from([*range(0xF1, 0xF7), *range(0xF8, 0xFF)])
+    end_of_track = draw(st.booleans())
     tracks = []
     for _ in range(1 if fmt == 0 else draw(st.integers(1, 3))):
         track, status = [], None
-        for delta, kind, channel, pitch, velocity, running in draw(
+        for delta, kind, channel, pitch, velocity, running, pad in draw(
                 st.lists(messages, max_size=40)):
             data = [pitch] if kind in (0xC0, 0xD0) else [pitch, velocity]
             if kind == 0xFF:
                 message, status = [0xFF, 0x01, 0x00], None
             elif kind == 0xF0:
                 message, status = [0xF0, 0x02, pitch, 0xF7], None
+            elif kind == 0xF7:  # an escaped note-on, which both skip
+                message, status = [0xF7, 0x03, 0x90, *data], None
+            elif kind == 0xF1:
+                message, status = [draw(system), *data], None
             elif (kind | channel) == status and running:
                 message = data
             else:
                 status = kind | channel
                 message = [status, *data]
-            track.append((delta, message))
+            written = varlen(delta)
+            track.append((bytes([0x80] * min(pad, 4 - len(written)))
+                          + written, message))
+        if not end_of_track:
+            track.append((0, [0x80, 60, 0]))
         tracks.append(track)
     aliens = draw(st.sets(st.integers(0, len(tracks))))
-    return midi_file(tracks, division=division, fmt=fmt, alien_before=aliens)
+    return midi_file(tracks, division=division, fmt=fmt, alien_before=aliens,
+                     end_of_track=end_of_track)
 
 
 @given(smf_files())
@@ -601,6 +645,34 @@ def test_import_midi_matches_note_by_note_reader(data):
     # equal Parts hold equal events in the same order
     assert piece == expected
     assert warned == expected_warned
+
+
+def _patched(start: int, value: int, size: int = 4) -> bytes:
+    """A one-track SMF, with a 13-byte track body, whose big-endian
+    field at `start` is set to `value`."""
+    data = midi_file([[(0, [0x90, 60, 70]), (480, [0x80, 60, 0])]], fmt=0)
+    return data[:start] + value.to_bytes(size, "big") + data[start + size:]
+
+
+@pytest.mark.parametrize("data,message", [
+    (midi_file([[(b"\x80\x80\x80\x80\x00", [0xFF, 0x2F, 0x00])]],
+               end_of_track=False), "variable-length quantity too long"),
+    (midi_file([[(0, [0xFF])]], end_of_track=False), "truncated meta event"),
+    (_patched(4, 5), "truncated header chunk"),
+    (_patched(4, 100), "truncated header chunk"),
+    (_patched(4, (1 << 24) + 6), "truncated header chunk"),
+    (_patched(8, 256, 2), "unsupported format 256"),
+    (_patched(10, 257, 2), "truncated chunk"),
+    (_patched(18, 14), "truncated chunk"),
+    (_patched(18, (1 << 24) + 13), "truncated chunk"),
+], ids=["five-byte delta", "ends on a meta status", "header length 5",
+        "header past the end", "header length's high byte",
+        "format's high byte", "track count's high byte",
+        "track past the end", "track length's high byte"])
+def test_midi_file_error(data, message):
+    with pytest.raises(MidiError) as err:
+        import_midi(data)
+    assert type(err.value) is MidiError and str(err.value) == message
 
 
 def test_midi_smpte_division_rejected():

@@ -9,13 +9,14 @@ import inspect
 import json
 import pickle
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
 from arcform import (AnalysisConfig, AnalysisError, ClimaxProfile,
                      Derivation, GrammarError, IntervalProfile, Leaf, Node,
                      NoteEvent, Part, Piece, RecurrenceMatch, RecurrenceSeries,
-                     SonataAlignment, sonata_alignment)
+                     SonataAlignment, salience_curve, sonata_alignment)
 from arcform.report import build_report, render_json
 from oracles import jsonable
 
@@ -199,6 +200,24 @@ def test_part_and_piece_cache_what_they_derive():
     assert piece.timeline is piece.timeline
     assert piece.timeline == (2, (0, 2), (2, 3))
     assert piece.beats_total is piece.beats_total
+
+
+def test_copies_and_pickles_carry_fields_not_caches():
+    piece = Piece((Part(1, NOTES), Part(0, NOTES[:1])))
+    curve = salience_curve(piece)
+    values = (curve, *piece.parts, piece)
+    pickles = [pickle.dumps(value) for value in values]
+    for value in values:
+        for name, attr in vars(type(value)).items():
+            if isinstance(attr, cached_property):
+                getattr(value, name)
+                assert name in vars(value)
+    assert [pickle.dumps(value) for value in values] == pickles
+    assert pickle.loads(pickles[0]).rows == curve.rows
+    tree = Node((AB, Leaf("C")))
+    for copied in (copy.copy(tree), copy.deepcopy(tree),
+                   pickle.loads(pickle.dumps(tree))):
+        assert copied.depth == 2
 
 
 def test_properties_and_len():
