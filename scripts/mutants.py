@@ -17,9 +17,10 @@ is written with `ast.unparse` into a temporary copy of the checkout
 tests run there with -x, one mutant at a time, with hypothesis's shrink
 phase off. The unmutated module, unparsed the same way, must pass first;
 each mutant's tests then get TIMEOUT_FACTOR times that run's time, and
-at least MIN_TIMEOUT seconds. A mutant that fails a test, times out or
-fails to import is killed. Each mutant is printed with its line, change
-and outcome.
+at least MIN_TIMEOUT seconds, and at most MEMORY_LIMIT bytes of address
+space, so that a mutant that loops while it grows a list ends early with
+a MemoryError. A mutant that fails a test, times out or fails to import
+is killed. Each mutant is printed with its line, change and outcome.
 Only the standard library is used, besides pytest in the subprocess.
 """
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -40,6 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # time, and at least MIN_TIMEOUT seconds, before it counts as killed
 TIMEOUT_FACTOR = 10
 MIN_TIMEOUT = 30.0
+# the address space each test run may take
+MEMORY_LIMIT = 1 << 30
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn,
@@ -118,6 +122,10 @@ else:
 """
 
 
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
 def _run_tests(copy: Path, pytest_args: list[str],
                timeout: float | None) -> str:
     env = dict(os.environ, PYTHONPATH=str(copy / "src"),
@@ -127,7 +135,8 @@ def _run_tests(copy: Path, pytest_args: list[str],
             [sys.executable, "-m", "pytest", "-x", "-q", "-p",
              "no:cacheprovider", "-p", "mutants_plugin", *pytest_args],
             cwd=copy, env=env, stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL, timeout=timeout)
+            stderr=subprocess.DEVNULL, timeout=timeout,
+            preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return "timeout"
     if done.returncode in (0, 1):

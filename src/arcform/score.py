@@ -8,12 +8,13 @@ integer ticks at its own scale, and builds `NoteEvent`s only on demand.
 from __future__ import annotations
 
 import heapq
+import re
 import warnings
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
 from operator import add, floordiv, itemgetter, le, sub
 
@@ -478,6 +479,18 @@ def _read_varlen(data: bytes, pos: int) -> tuple[int, int]:
     raise MidiError("variable-length quantity too long")
 
 
+# A run of channel events of two data bytes each is read with slices.
+# Group 1 matches 4-byte events: a one-byte delta, a status, two data
+# bytes. The other branch, 7-bit bytes only, holds 3-byte events under a
+# running status. Both take well-formed events only, so every fault is
+# left to the per-event loop.
+_RUN = re.compile(rb"((?:[\x00-\x7f][\x80-\xbf\xe0-\xef][\x00-\x7f]{2})+)"
+                  rb"|[\x00-\x7f]+")
+_TWO_DATA_BYTES = frozenset([*range(0x80, 0xC0), *range(0xE0, 0xF0)])
+_MIN_RUN = 6  # events; a shorter run is read one event at a time
+_SEARCHES = 2  # failed run searches a track may make before a run or meta
+
+
 def _track_events(chunk: bytes, division: int, voice: int) -> Part:
     """One MTrk chunk's notes as a part, sorted by (onset, pitch); equal
     ones stay in the order they closed."""
@@ -487,14 +500,64 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Part:
     open_notes: dict[int, list[int]] = {}
     pos = tick = status = 0
     size = len(chunk)
+    # a one-byte delta under `plain` is read with no run search: 0 while
+    # searches are left, 0x80 once they are spent; none starts before
+    # `resume`, the end of the last short run found
+    plain = resume = 0
+    searches = _SEARCHES
     while pos < size:
         byte = chunk[pos]
-        if byte < 0x80:  # one-byte delta, the common case
+        if byte < plain:  # one-byte delta, with run searches off
             tick += byte
             pos += 1
-        else:
-            delta, pos = _read_varlen(chunk, pos)
-            tick += delta
+        elif byte & 0x80:
+            if pos + 1 < size and chunk[pos + 1] < 0x80:  # two-byte delta
+                tick += (byte & 0x7F) << 7 | chunk[pos + 1]
+                pos += 2
+            else:
+                delta, pos = _read_varlen(chunk, pos)
+                tick += delta
+        else:  # one-byte delta, where a run may start
+            if pos >= resume:
+                run = _RUN.match(chunk, pos)
+                end = run.end()
+                stride = (4 if run.lastindex else
+                          3 if status in _TWO_DATA_BYTES else 0)
+                if stride and end - pos >= _MIN_RUN * stride:
+                    end -= (end - pos) % stride
+                    for tick, status, pitch, value in zip(
+                            accumulate(chunk[pos + stride:end:stride],
+                                       initial=tick + byte),
+                            chunk[pos + 1:end:4] if stride == 4
+                            else repeat(status),
+                            chunk[pos + stride - 2:end:stride],
+                            chunk[pos + stride - 1:end:stride]):
+                        kind = status & 0xF0
+                        if kind == 0x90 and value:
+                            key = (status & 0x0F) << 7 | pitch
+                            stack = open_notes.get(key)
+                            if stack is None:
+                                open_notes[key] = [tick, value]
+                            else:
+                                stack += (tick, value)
+                        elif kind == 0x80 or kind == 0x90:
+                            stack = open_notes.get(
+                                (status & 0x0F) << 7 | pitch)
+                            if stack:
+                                start = stack[0]
+                                if tick > start:
+                                    notes += (start, tick - start, pitch,
+                                              stack[1])
+                                del stack[:2]
+                    pos = end
+                    searches = _SEARCHES
+                    continue
+                resume = end
+                searches -= 1
+                if not searches:
+                    plain = 0x80
+            tick += byte
+            pos += 1
         if pos >= size:
             raise MidiError("truncated track event")
         byte = chunk[pos]
@@ -515,6 +578,8 @@ def _track_events(chunk: bytes, division: int, voice: int) -> Part:
                                 "its track")
             pos += length
             status = 0  # meta and sysex events cancel running status
+            searches = _SEARCHES
+            plain = 0
         elif kind == 0xC0 or kind == 0xD0:  # one data byte
             if pos >= size:
                 raise MidiError("truncated channel event")

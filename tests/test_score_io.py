@@ -632,19 +632,126 @@ def smf_files(draw):
                      end_of_track=end_of_track)
 
 
+def _read_warned(importer, data: bytes):
+    """The piece `importer` reads from `data`, and its warnings' texts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        piece = importer(data)
+    return piece, [str(w.message) for w in caught]
+
+
 @given(smf_files())
 def test_import_midi_matches_note_by_note_reader(data):
-    def read(importer):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            piece = importer(data)
-        return piece, [str(w.message) for w in caught]
-
-    piece, warned = read(import_midi)
-    expected, expected_warned = read(oracle_import_midi)
     # equal Parts hold equal events in the same order
-    assert piece == expected
-    assert warned == expected_warned
+    assert _read_warned(import_midi, data) == _read_warned(oracle_import_midi,
+                                                           data)
+
+
+@st.composite
+def run_dense_smf_files(draw):
+    """SMFs whose tracks hold long stretches of note and controller
+    events with one-byte deltas, each stretch in explicit or in running
+    status, broken by what a run of fixed-width events cannot hold:
+    deltas of two bytes or more, deltas padded with 0x80 bytes, meta,
+    sysex and 0xF7 events, and messages of one data byte (0xC0, 0xD0),
+    some in running status. Three pitches on two channels, and velocity
+    0 in some note-ons, make velocity-0 note-offs, overlapping notes of
+    one key and unmatched note-ons."""
+    events = st.tuples(st.just(0) | st.integers(0, 127),
+                       st.sampled_from([0x80, 0x90, 0x90, 0x90, 0xB0, 0xE0]),
+                       st.integers(0, 1), st.integers(60, 62),
+                       st.sampled_from([0, 1, 64, 127]))
+    breaks = st.sampled_from(["delta", "padded", "meta", "sysex", "escape",
+                              0xC0, 0xD0])
+    tracks = []
+    for _ in range(draw(st.integers(1, 2))):
+        track, status = [], None
+        for _ in range(draw(st.integers(1, 4))):
+            size = draw(st.integers(1, 30))
+            stretch = draw(st.lists(events, min_size=size, max_size=size))
+            running = draw(st.booleans())
+            for delta, kind, channel, pitch, velocity in stretch:
+                if running:  # the stretch keeps its first event's status
+                    kind, channel = stretch[0][1:3]
+                data = [pitch, velocity]
+                if not (running and kind | channel == status):
+                    status = kind | channel
+                    data.insert(0, status)
+                track.append((delta, data))
+            kind = draw(breaks)
+            delta, message, more = draw(st.integers(0, 127)), None, []
+            if kind == "delta":
+                delta = draw(st.integers(128, (1 << 21) - 1))
+            elif kind == "padded":
+                delta = b"\x80" * draw(st.integers(1, 3)) + bytes([delta])
+            elif kind == "meta":
+                message, status = [0xFF, 0x01, 0x00], None
+            elif kind == "sysex":
+                message, status = [0xF0, 0x01, 0xF7], None
+            elif kind == "escape":  # an escaped note-on, which both skip
+                message, status = [0xF7, 0x03, 0x90, 60, 64], None
+            else:  # a message of one data byte, and up to 3 in running status
+                status = kind | draw(st.integers(0, 1))
+                first, *rest = draw(st.lists(st.integers(0, 127), min_size=1,
+                                             max_size=4))
+                message = [status, first]
+                more = [(draw(st.integers(0, 127)), [value]) for value in rest]
+            if message is None:  # a note event after a long delta
+                message = [0x90 | draw(st.integers(0, 1)), 61, 64]
+                status = message[0]
+            track += [(delta, message), *more]
+        tracks.append(track)
+    return midi_file(tracks, division=draw(st.sampled_from([24, 96, 480])),
+                     end_of_track=draw(st.booleans()))
+
+
+@given(run_dense_smf_files())
+def test_import_midi_matches_note_by_note_reader_on_long_runs(data):
+    assert _read_warned(import_midi, data) == _read_warned(oracle_import_midi,
+                                                           data)
+
+
+_RUN = score._RUN  # the module's pattern, which `_RunSpy` stands in for
+
+
+class _RunSpy:
+    """Stands in for `score._RUN` and keeps, for every search, the kind
+    of run it found and its length in events."""
+
+    def __init__(self):
+        self.found = []
+
+    def match(self, chunk, pos):
+        run = _RUN.match(chunk, pos)
+        if run.lastindex:
+            self.found.append(("explicit", (run.end() - pos) // 4))
+        else:
+            self.found.append(("running", (run.end() - pos) // 3))
+        return run
+
+
+@pytest.mark.parametrize("running", [False, True])
+def test_bench_shaped_track_is_read_as_one_run(monkeypatch, running):
+    # as the benchmark writes them: 96 ticks a beat, every delta in one
+    # byte and a status on every event; then also with velocity-0
+    # note-offs under running status
+    events = []
+    for i in range(40):
+        pitch = 60 + i % 3
+        events += [(12, [0x90, pitch, 80]),
+                   (24, [0x90 if running else 0x80, pitch, 0])]
+    if running:  # every status after the first is left out
+        events[1:] = [(delta, message[1:]) for delta, message in events[1:]]
+    data = midi_file([events], division=96)
+    spy = _RunSpy()
+    monkeypatch.setattr(score, "_RUN", spy)
+    assert _read_warned(import_midi, data) == _read_warned(oracle_import_midi,
+                                                           data)
+    # the last search finds the end-of-track event, which is no run
+    if running:
+        assert spy.found == [("explicit", 1), ("running", 79), ("running", 0)]
+    else:
+        assert spy.found == [("explicit", 80), ("running", 0)]
 
 
 def _patched(start: int, value: int, size: int = 4) -> bytes:
@@ -670,6 +777,66 @@ def _patched(start: int, value: int, size: int = 4) -> bytes:
         "format's high byte", "track count's high byte",
         "track past the end", "track length's high byte"])
 def test_midi_file_error(data, message):
+    with pytest.raises(MidiError) as err:
+        import_midi(data)
+    assert type(err.value) is MidiError and str(err.value) == message
+
+
+def test_run_searches_stop_after_two_misses_until_a_meta(monkeypatch):
+    def stretch(count, first_delta=12):
+        return [(12 if i else first_delta, [0x90, 60 + i % 3, 64 * (i % 2)])
+                for i in range(count)]
+
+    far = [(200, [0x90, 63, 64])]  # a two-byte delta, where none is searched
+    events = (stretch(2) + far + stretch(3) + far
+              + stretch(10)  # searches spent: read one event at a time
+              + [(0, [0xFF, 0x01, 0x00])] + stretch(6, first_delta=0)
+              + far + stretch(2) + far + stretch(2))
+    data = midi_file([events], division=96)
+    spy = _RunSpy()
+    monkeypatch.setattr(score, "_RUN", spy)
+    assert _read_warned(import_midi, data) == _read_warned(oracle_import_midi,
+                                                           data)
+    # the meta gives back 2 searches; the run of 6 after it is taken and
+    # gives them back again, so both short stretches after it are searched
+    # and the end-of-track event is not
+    assert spy.found == [("explicit", n) for n in (2, 3, 6, 2, 2)]
+
+
+def _run(count: int, edit=None) -> list:
+    """`count` note-ons that a run can hold, as (delta, message) pairs;
+    `edit(i, data)` may change event i's data bytes."""
+    events = []
+    for i in range(count):
+        data = [60 + i % 3, 64]
+        if edit is not None:
+            data = edit(i, data)
+        events.append((12, [0x90, *data]))
+    return events
+
+
+def _high_bit_at_9(i, data):
+    return [data[0], 0x85] if i == 9 else data
+
+
+@pytest.mark.parametrize("running", [False, True], ids=["explicit", "running"])
+@pytest.mark.parametrize("events,end_of_track,message", [
+    (_run(20, edit=_high_bit_at_9), True,
+     "channel event data byte has the high bit set"),
+    (_run(15) + [(12, [0x90, 60])], False, "truncated channel event"),
+    (_run(10) + [(0, [0xFF, 0x01, 0x00]), (12, [60, 0]), (12, [61, 0]),
+                 (12, [62, 0])], True, "data byte without running status"),
+    (_run(10) + [(b"\x80\x80\x80\x80\x00", [0x90, 60, 0])], True,
+     "variable-length quantity too long"),
+    (_run(10) + [(b"\x83", [])], False,
+     "truncated variable-length quantity"),
+], ids=["high bit in event 10", "cut inside a run", "data byte after meta",
+        "five-byte delta", "cut inside a two-byte delta"])
+def test_midi_fault_at_a_run_edge(events, end_of_track, message, running):
+    if running:  # the same bytes with every status after the first left out
+        events = [(delta, data[1:] if 0 < i and data[:1] == [0x90] else data)
+                  for i, (delta, data) in enumerate(events)]
+    data = midi_file([events], end_of_track=end_of_track)
     with pytest.raises(MidiError) as err:
         import_midi(data)
     assert type(err.value) is MidiError and str(err.value) == message
