@@ -803,6 +803,19 @@ def test_run_searches_stop_after_two_misses_until_a_meta(monkeypatch):
     assert spy.found == [("explicit", n) for n in (2, 3, 6, 2, 2)]
 
 
+def test_one_data_byte_messages_in_running_status_are_no_run(monkeypatch):
+    # 11 program changes under running status are 22 bytes of 7 bits,
+    # as long as a run of 3-byte events, which they are not
+    events = ([(12, [0xC0, 5])] + [(12, [5])] * 11
+              + [(12, [0x90, 60, 64]), (12, [0x80, 60, 0])])
+    data = midi_file([events], division=96)
+    spy = _RunSpy()
+    monkeypatch.setattr(score, "_RUN", spy)
+    assert _read_warned(import_midi, data) == _read_warned(oracle_import_midi,
+                                                           data)
+    assert spy.found == [("running", 0), ("running", 7)]
+
+
 def _run(count: int, edit=None) -> list:
     """`count` note-ons that a run can hold, as (delta, message) pairs;
     `edit(i, data)` may change event i's data bytes."""
@@ -830,8 +843,10 @@ def _high_bit_at_9(i, data):
      "variable-length quantity too long"),
     (_run(10) + [(b"\x83", [])], False,
      "truncated variable-length quantity"),
+    (_run(10) + [(12, [0xC0])], False, "truncated channel event"),
 ], ids=["high bit in event 10", "cut inside a run", "data byte after meta",
-        "five-byte delta", "cut inside a two-byte delta"])
+        "five-byte delta", "cut inside a two-byte delta",
+        "cut after a program change status"])
 def test_midi_fault_at_a_run_edge(events, end_of_track, message, running):
     if running:  # the same bytes with every status after the first left out
         events = [(delta, data[1:] if 0 < i and data[:1] == [0x90] else data)
